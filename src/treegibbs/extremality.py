@@ -186,7 +186,9 @@ def extremality_windows(k: int, theta: float, solution: FieldPair) -> Verdict:
       (below 1/k only the zero pair exists among these measures; above
       1/sqrt(k) the generic product k*theta^2 reaches 1).
     * both components nonzero (sign-normalised): the computed kappa/gamma
-      bounds decide via k*kappa*gamma < 1.
+      bounds decide via k*kappa*gamma < 1 (the verdict of
+      ``assess_solution``, without the h* solve that only picks its method
+      tag).
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
@@ -197,7 +199,8 @@ def extremality_windows(k: int, theta: float, solution: FieldPair) -> Verdict:
         in_window = (1.0 / k) < theta < (1.0 / math.sqrt(k))
         return Verdict.EXTREME_CERTIFIED if in_window else Verdict.INCONCLUSIVE
     coupling = Coupling.from_theta(theta)
-    return assess_solution(k, coupling, FieldPair(h, l)).verdict
+    kappa = kappa_bound_generic(coupling, FieldPair(h, l))
+    return certify(k, kappa, gamma_bound(coupling)).verdict
 
 
 @dataclass(frozen=True)

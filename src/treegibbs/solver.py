@@ -49,7 +49,8 @@ class FieldPair:
 @dataclass(frozen=True)
 class SolverConfig:
     """Scan / tolerance knobs.  ``scan_hi = None`` derives the window from
-    the a-priori bound of the instance being solved."""
+    the a-priori bound of the instance being solved; a set ``scan_hi``
+    below that bound makes the solve raise ``ValueError``."""
 
     scan_lo: float = 0.0
     scan_hi: Optional[float] = None
@@ -71,8 +72,22 @@ class SolverConfig:
             raise ValueError("max_iter must be positive")
 
 
-def _scan_hi(cfg: SolverConfig, auto: float) -> float:
-    return cfg.scan_hi if cfg.scan_hi is not None else auto
+def _uncovered(cfg: SolverConfig, bound: float) -> ValueError:
+    return ValueError(
+        f"scan interval [{cfg.scan_lo}, {cfg.scan_hi}] does not cover "
+        f"[-{bound}, {bound}]"
+    )
+
+
+def _scan_hi(cfg: SolverConfig, bound: float) -> float:
+    """Upper end of the scan for roots with |x| <= ``bound``: the bound plus
+    a 0.5 margin by default.  A configured ``scan_hi`` below the bound would
+    silently lose roots, so it is refused."""
+    if cfg.scan_hi is None:
+        return bound + 0.5
+    if cfg.scan_hi < bound:
+        raise _uncovered(cfg, bound)
+    return cfg.scan_hi
 
 
 @dataclass(frozen=True)
@@ -161,6 +176,28 @@ def _dedup_sorted(values: Sequence[float], tol: float) -> list[float]:
     return out
 
 
+def _grid(fn, lo: float, hi: float, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The scan grid on [lo, hi] and ``fn`` evaluated on it."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"bad scan interval [{lo!r}, {hi!r}]")
+    xs = np.linspace(lo, hi, cfg.grid_points + 1)
+    ys = np.asarray(fn(xs), dtype=float)
+    if ys.shape != xs.shape:
+        ys = np.array([fn(float(x)) for x in xs], dtype=float)
+    return xs, ys
+
+
+def _roots_on_grid(fn, xs: np.ndarray, ys: np.ndarray, cfg: SolverConfig) -> list[float]:
+    """Exact grid zeros plus one bisected root per sign-change cell."""
+    roots = xs[ys == 0.0].tolist()
+    sign_change = np.nonzero(ys[:-1] * ys[1:] < 0.0)[0]
+    for i in sign_change:
+        roots.append(
+            _bisect(fn, float(xs[i]), float(xs[i + 1]), float(ys[i]), float(ys[i + 1]), cfg)
+        )
+    return _dedup_sorted(roots, cfg.dedup_tol)
+
+
 def find_roots_1d(
     fn: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -174,19 +211,8 @@ def find_roots_1d(
     crossing is reported only if a grid point evaluates to exactly zero.
     """
     cfg = cfg or SolverConfig()
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"bad scan interval [{lo!r}, {hi!r}]")
-    xs = np.linspace(lo, hi, cfg.grid_points + 1)
-    ys = np.asarray(fn(xs), dtype=float)
-    if ys.shape != xs.shape:
-        ys = np.array([fn(float(x)) for x in xs], dtype=float)
-    roots = [float(x) for x, y in zip(xs, ys) if y == 0.0]
-    sign_change = np.nonzero(ys[:-1] * ys[1:] < 0.0)[0]
-    for i in sign_change:
-        roots.append(
-            _bisect(fn, float(xs[i]), float(xs[i + 1]), float(ys[i]), float(ys[i + 1]), cfg)
-        )
-    return _dedup_sorted(roots, cfg.dedup_tol)
+    xs, ys = _grid(fn, lo, hi, cfg)
+    return _roots_on_grid(fn, xs, ys, cfg)
 
 
 def _bracket_below(fn, hi: float) -> Optional[float]:
@@ -217,16 +243,10 @@ def solve_scalar(m: int, theta: float, cfg: SolverConfig | None = None) -> list[
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
     bound = m * arctanh(theta)
-    if cfg.scan_hi is not None:
-        if cfg.scan_hi < bound or cfg.scan_lo > -bound:
-            raise ValueError(
-                f"scan interval [{cfg.scan_lo}, {cfg.scan_hi}] does not cover "
-                f"[-{bound}, {bound}]"
-            )
-        lo, hi = cfg.scan_lo, cfg.scan_hi
-    else:
-        hi = bound + 0.5
-        lo = -hi
+    hi = _scan_hi(cfg, bound)
+    lo = -hi if cfg.scan_hi is None else cfg.scan_lo
+    if lo > -bound:
+        raise _uncovered(cfg, bound)
 
     def fn(x):
         return x - m * f_theta(theta, x)
@@ -293,16 +313,14 @@ def _shifted_scalar_roots(
     """
     if d == 0:
         return [t], []
-    auto = abs(t) + abs(d) * arctanh(abs(theta)) + 0.5
-    bound = max(auto, _scan_hi(cfg, auto))
+    bound = _scan_hi(cfg, abs(t) + abs(d) * arctanh(abs(theta)))
 
     def fn(x):
         return x - t - d * f_theta(theta, x)
 
-    roots = find_roots_1d(fn, -bound, bound, cfg)
+    xs, ys = _grid(fn, -bound, bound, cfg)
+    roots = _roots_on_grid(fn, xs, ys, cfg)
     warnings: list[str] = []
-    xs = np.linspace(-bound, bound, cfg.grid_points + 1)
-    ys = np.asarray(fn(xs), dtype=float)
     interior = np.arange(1, len(xs) - 1)
     is_min = (ys[interior] < ys[interior - 1]) & (ys[interior] <= ys[interior + 1])
     is_max = (ys[interior] > ys[interior - 1]) & (ys[interior] >= ys[interior + 1])
@@ -337,7 +355,7 @@ def _case_a0_b0(r: ReducedParams, theta: float, cfg: SolverConfig):
 def _case_a0(r: ReducedParams, theta: float, cfg: SolverConfig):
     # h = b f_theta(l); l = g(l) = c f_theta(b f_theta(l)) + d f_theta(l).
     b, c, d = r.b, r.c, r.d
-    bound = _scan_hi(cfg, (abs(c) + abs(d)) * arctanh(abs(theta)) + 0.5)
+    bound = _scan_hi(cfg, (abs(c) + abs(d)) * arctanh(abs(theta)))
 
     def g_residual(x):
         return x - c * f_theta(theta, b * f_theta(theta, x)) - d * f_theta(theta, x)
@@ -386,7 +404,7 @@ def _case_general(r: ReducedParams, theta: float, cfg: SolverConfig):
     # h = a f_theta(h) + b f_theta(phi(h)).
     a, b, c, d = r.abcd
     det = b * c - a * d
-    bound = _scan_hi(cfg, (abs(a) + abs(b)) * arctanh(abs(theta)) + 0.5)
+    bound = _scan_hi(cfg, (abs(a) + abs(b)) * arctanh(abs(theta)))
 
     def phi(h):
         return (det * f_theta(theta, h) + d * h) / b

@@ -63,6 +63,36 @@ class TestSolve:
         assert len(json.loads(out)["solutions"]) == 9
 
 
+class TestShortScanWindow:
+    """A config scan_hi below the instance's a-priori bound is a bad
+    configuration (exit 2), whichever case solver meets it."""
+
+    @pytest.fixture
+    def short_cfg(self, tmp_path):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("scan_hi = 0.5\n", encoding="utf-8")
+        return str(cfg)
+
+    @pytest.mark.parametrize("a,b", [("3,0,0,1", "4,0,0,0"), ("4,0,0,0", "4,0,0,0")])
+    def test_solve_exit_2(self, capsys, short_cfg, a, b):
+        code, out = _run(
+            capsys,
+            ["solve", "--k", "4", "--a", a, "--b", b, "--theta", "0.8", "--config", short_cfg],
+        )
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_exit_2(self, capsys, tmp_path, short_cfg, jobs):
+        code = main(
+            ["sweep", "--k", "4", "--theta-lo", "0.7", "--theta-hi", "0.8", "--steps", "2",
+             "--out", str(tmp_path / "x.csv"), "--scheme", "3,0,0,1:4,0,0,0",
+             "--scheme", "4,0,0,0:4,0,0,0", "--jobs", jobs, "--config", short_cfg]
+        )
+        capsys.readouterr()
+        assert code == 2
+
+
 class TestClassify:
     def test_family_json(self, capsys):
         code, out = _run(
@@ -152,6 +182,43 @@ class TestSweep:
         assert sidecar["schema"] == 1
         assert "generated_at" in sidecar
 
+    # Schemes sharing a reduction, interleaved with other reductions: the
+    # k=4 ones carry boundary-degenerate warnings at theta = 0.6.
+    SHARED = {
+        3: ["2,0,1,0:1,0,1,1", "1,0,1,1:1,0,1,1", "2,0,1,0:2,1,0,0", "0,1,2,0:0,3,0,0"],
+        4: ["2,0,1,1:0,1,3,0", "2,0,1,1:1,0,3,0", "3,1,0,0:0,1,3,0", "3,1,0,0:1,0,3,0"],
+    }
+
+    @staticmethod
+    def _shared_sweep(capsys, path, k, schemes, jobs):
+        argv = ["sweep", "--k", str(k), "--theta-lo", "0.05", "--theta-hi", "0.95",
+                "--steps", "19", "--out", str(path), "--jobs", jobs]
+        for spec in schemes:
+            argv += ["--scheme", spec]
+        code = main(argv)
+        capsys.readouterr()
+        assert code == 0
+        sidecar = json.loads(
+            (path.parent / (path.name + ".sidecar.json")).read_text(encoding="utf-8")
+        )
+        return path.read_text(encoding="utf-8"), sidecar["warnings"]
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_shared_reductions_keep_scheme_order(self, capsys, tmp_path, k):
+        schemes = self.SHARED[k]
+        serial = self._shared_sweep(capsys, tmp_path / "serial.csv", k, schemes, "1")
+        parallel = self._shared_sweep(capsys, tmp_path / "parallel.csv", k, schemes, "2")
+        assert parallel == serial
+        lines = serial[0].splitlines()[:2]  # schema and column lines
+        warnings = []
+        for i, spec in enumerate(schemes):
+            text, warns = self._shared_sweep(capsys, tmp_path / f"one{i}.csv", k, [spec], "1")
+            lines.extend(text.splitlines()[2:])
+            warnings.extend(warns)
+        assert serial == ("\n".join(lines) + "\n", warnings)
+        if k == 4:
+            assert [w["scheme"] for w in warnings] == schemes
+
     def test_bad_grid_exit_3(self, capsys, tmp_path):
         code = main(
             ["sweep", "--k", "2", "--theta-lo", "0.9", "--theta-hi", "0.5",
@@ -225,6 +292,43 @@ class TestVerify:
         code, out = _run(capsys, ["verify", "--theta", "0.8", "--assignment", str(path)])
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    def test_small_volume_keeps_absolute_tolerances(self, capsys):
+        # 15 sites, 8 of them outer: 2^8 summed terms stay under 1e-12
+        _, out = _run(capsys, self.BASE + ["--solution-index", "7"])
+        payload = json.loads(out)
+        assert payload["kolmogorov"]["tol"] == 1e-12
+        assert payload["root_ratio"]["tol"] == 1e-10
+
+    LARGE_RATIO = ["verify", "--k", "3", "--a", "0,0,3,0", "--b", "0,0,3,0", "--theta", "0.9",
+                   "--depth", "2", "--solution-index", "0"]
+
+    def test_large_root_ratio_passes(self, capsys):
+        # ratio 6,802: a float-limit deviation of ~1.6e-8 is within the
+        # tolerance scaled by the ratio
+        code, out = _run(capsys, self.LARGE_RATIO)
+        payload = json.loads(out)
+        assert payload["root_ratio"]["expected"] == pytest.approx(6802.0, rel=1e-6)
+        assert payload["root_ratio"]["pass"] is True
+        assert code == 0
+
+    def test_large_root_ratio_moved_solution_fails(self, capsys):
+        code, out = _run(capsys, self.LARGE_RATIO + ["--override-h", "-4.0"])
+        assert json.loads(out)["root_ratio"]["pass"] is False
+        assert code == 1
+
+    def test_21_site_kolmogorov_passes(self, capsys):
+        # 2^16 outer configurations summed into each marginal entry: the
+        # 1.6e-12 discrepancy is rounding, within 2^16 ulps of 1
+        code, out = _run(
+            capsys,
+            ["verify", "--k", "4", "--a", "0,0,4,0", "--b", "0,0,4,0", "--theta", "0.4",
+             "--depth", "2", "--root-label=-H"],
+        )
+        payload = json.loads(out)
+        assert payload["kolmogorov"]["tol"] == 2.0**16 * 2.0**-52
+        assert payload["kolmogorov"]["pass"] is True
+        assert code == 0
 
     def test_solution_index_out_of_range(self, capsys):
         code, _ = _run(capsys, self.BASE + ["--solution-index", "40"])

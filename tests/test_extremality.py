@@ -22,7 +22,9 @@ from treegibbs import (
     k_beta,
     kappa_bound_generic,
     kappa_bound_refined,
+    realizable_reduced,
     solve_scalar,
+    solve_system,
     extremality_windows,
     ti_field_root,
 )
@@ -185,6 +187,25 @@ class TestWindows:
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(ValueError):
             extremality_windows(2, 0.0, FieldPair(0.0, 0.0))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_verdict_matches_assess_solution(self, k):
+        # the windows verdict skips assess_solution's h* solve; the two must
+        # still agree on every solved pair with both components nonzero
+        thetas = [round(0.05 + 0.075 * i, 3) for i in range(13)]
+        nonzero = 0
+        for r in sorted(realizable_reduced(k), key=lambda q: q.abcd)[::13]:
+            for theta in thetas:
+                coupling = Coupling.from_theta(theta)
+                for pair in solve_system(r, theta):
+                    if pair.h == 0.0 or pair.l == 0.0:
+                        continue
+                    nonzero += 1
+                    assert (
+                        extremality_windows(k, theta, pair)
+                        is assess_solution(k, coupling, pair).verdict
+                    ), (r.abcd, theta, pair)
+        assert nonzero > 0
 
 
 class TestExpSystem:

@@ -53,6 +53,18 @@ class TestFindRoots1D:
         with pytest.raises(ValueError):
             find_roots_1d(lambda x: x, 1.0, -1.0)
 
+    def test_crossing_root_on_grid_point(self):
+        # 0.5 is grid point 3072 of the default 4097-point grid on [-1, 1]:
+        # fn is exactly zero there, so no cell shows a strict sign change
+        assert find_roots_1d(lambda x: x - 0.5, -1.0, 1.0) == [0.5]
+
+    def test_touching_root_on_grid_point(self):
+        # a double root at a grid point next to a bisected simple root
+        roots = find_roots_1d(lambda x: (x - 0.5) ** 2 * (x + 0.3), -1.0, 1.0)
+        assert len(roots) == 2
+        assert roots[0] == pytest.approx(-0.3, abs=1e-12)
+        assert roots[1] == 0.5
+
 
 class TestSolveScalar:
     def test_subcritical(self):
@@ -205,6 +217,30 @@ class TestCaseGeneral:
         top = sols.largest_nonnegative()
         assert top.h == pytest.approx(0.6785469430733215, abs=1e-10)
         assert top.l == pytest.approx(0.2731943391021021, abs=1e-10)
+
+
+class TestScanWindow:
+    """A configured scan_hi below the a-priori bound is refused in every
+    case, as solve_scalar refuses it, instead of silently losing roots."""
+
+    SHORT = SolverConfig(scan_hi=0.5)
+
+    def test_general_case_refuses_short_window(self):
+        with pytest.raises(ValueError, match="does not cover"):
+            solve_system(ReducedParams(3, -1, 4, 0, 4), 0.8, self.SHORT)
+
+    def test_a0_case_refuses_short_window(self):
+        with pytest.raises(ValueError, match="does not cover"):
+            solve_system(ReducedParams(0, 2, 2, 0, 2), 0.6, self.SHORT)
+
+    def test_shifted_roots_refuse_short_window(self):
+        with pytest.raises(ValueError, match="does not cover"):
+            _shifted_scalar_roots(2, 0.1, 0.8, SolverConfig(scan_lo=-10.0, scan_hi=0.5))
+
+    def test_covering_window_keeps_all_roots(self):
+        r = ReducedParams(3, -1, 4, 0, 4)
+        wide = solve_system(r, 0.8, SolverConfig(scan_hi=10.0))
+        assert len(wide) == len(solve_system(r, 0.8)) == 5
 
 
 class TestSolveSystem:
