@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,16 +25,7 @@ from .kernels import Coupling, k_beta
 from .tree import BoundaryAssignment, CapacityError, FiniteTree
 
 MAX_CONFIGS = 2**24
-_CHUNK_BITS = 16
-
-
-@lru_cache(maxsize=8)
-def _spin_table(num_sites: int, num_configs: int) -> np.ndarray:
-    # (num_configs, num_sites) matrix of +-1 spins; only cached for volumes
-    # small enough to enumerate unchunked.
-    masks = np.arange(num_configs, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(num_sites, dtype=np.int64)[None, :]) & 1
-    return (1 - 2 * bits).astype(np.int8)
+KOLMOGOROV_TOL = 1e-12
 
 
 def _log_weights(
@@ -45,27 +35,34 @@ def _log_weights(
     n: int,
     root_parent_spin: Optional[int],
 ) -> np.ndarray:
+    """Full log weight of every configuration, built one site at a time.
+
+    The root's terms (its field in a depth-0 volume, and bj*s*sigma(0)
+    for a grafted parent spin s) fill ``out[:2]``.  Once sites 0..v-1
+    fill ``out[:2^v]``, site v doubles the vector: its terms
+    bj*sigma(p)*sigma(v) and, on the outer level, its boundary field are
+    added in place for sigma(v) = +1 and written into
+    ``out[2^v:2^(v+1)]`` for sigma(v) = -1.  Each entry ends as the
+    energy of one configuration; nothing is summed out.
+    """
     num_sites = tree.num_vertices_to_depth(n)
-    num_configs = 1 << num_sites
     bj = coupling.beta_j
-    parents = np.array([(v - 1) // tree.k for v in range(1, num_sites)], dtype=np.int64)
-    children = np.arange(1, num_sites, dtype=np.int64)
-    outer = np.arange(tree.level_offsets[n], num_sites, dtype=np.int64)
-    out = np.empty(num_configs, dtype=float)
-    chunk = min(num_configs, 1 << _CHUNK_BITS)
-    for start in range(0, num_configs, chunk):
-        stop = min(start + chunk, num_configs)
-        if num_configs <= (1 << _CHUNK_BITS):
-            spins = _spin_table(num_sites, num_configs)[start:stop].astype(np.float64)
-        else:
-            masks = np.arange(start, stop, dtype=np.int64)
-            bits = (masks[:, None] >> np.arange(num_sites, dtype=np.int64)[None, :]) & 1
-            spins = (1 - 2 * bits).astype(np.float64)
-        logw = bj * (spins[:, parents] * spins[:, children]).sum(axis=1)
-        logw += spins[:, outer] @ boundary_fields[outer]
-        if root_parent_spin is not None:
-            logw += bj * root_parent_spin * spins[:, 0]
-        out[start:stop] = logw
+    fields = np.zeros(num_sites)
+    first_outer = tree.level_offsets[n]
+    fields[first_outer:] = boundary_fields[first_outer:num_sites]
+    out = np.empty(1 << num_sites, dtype=float)
+    root_term = fields[0] + (0.0 if root_parent_spin is None else bj * root_parent_spin)
+    out[0], out[1] = root_term, -root_term
+    for v in range(1, num_sites):
+        half = 1 << v
+        p = (v - 1) // tree.k
+        shape = (half >> (p + 1), 2, 1 << p)
+        plus = out[:half].reshape(shape)
+        minus = out[half : 2 * half].reshape(shape)
+        # bit p of the lower half's index is sigma(p): 0 for +1, 1 for -1
+        for bit, term in ((0, fields[v] + bj), (1, fields[v] - bj)):
+            np.subtract(plus[:, bit, :], term, out=minus[:, bit, :])
+            plus[:, bit, :] += term
     return out
 
 
@@ -92,9 +89,8 @@ class FiniteVolumeMeasure:
         """(P(sigma_v = +1), P(sigma_v = -1))."""
         if not (0 <= v < self.num_sites):
             raise KeyError(f"vertex {v} not in volume")
-        probs = self.probabilities
-        shaped = probs.reshape(1 << (self.num_sites - v - 1), 2, 1 << v)
-        p_minus = float(shaped[:, 1, :].sum())
+        shaped = self.weights.reshape(1 << (self.num_sites - v - 1), 2, 1 << v)
+        p_minus = float(shaped[:, 1, :].sum()) / self.z
         return 1.0 - p_minus, p_minus
 
 
@@ -147,10 +143,10 @@ def finite_volume_measure(
         raise ValueError(f"root_parent_spin must be +-1 or None, got {root_parent_spin!r}")
     logw = _log_weights(tree, assignment.numeric_fields(), coupling, n, root_parent_spin)
     log_scale = float(np.max(logw))
-    weights = np.exp(logw - log_scale)
-    z = float(weights.sum())
+    logw -= log_scale
+    np.exp(logw, out=logw)
     return FiniteVolumeMeasure(
-        n=n, num_sites=num_sites, weights=weights, z=z, log_scale=log_scale
+        n=n, num_sites=num_sites, weights=logw, z=float(logw.sum()), log_scale=log_scale
     )
 
 
@@ -164,20 +160,25 @@ class KolmogorovReport:
 def check_kolmogorov(
     mu_n: FiniteVolumeMeasure,
     mu_prev: FiniteVolumeMeasure,
-    tol: float = 1e-12,
+    tol: Optional[float] = None,
 ) -> KolmogorovReport:
     """Compare the outer-level marginal of ``mu_n`` with ``mu_prev``.
 
     For every configuration on the first n-1 levels, sums ``mu_n`` over the
     outer level and takes the worst absolute difference from ``mu_prev``.
     The measures must come from the same tree, assignment and coupling.
+    Each marginal entry sums ``n_outer`` probabilities whose total is at
+    most 1, so its rounding error is bounded by ``n_outer`` ulps of 1; the
+    default ``tol`` is ``max(KOLMOGOROV_TOL, n_outer * 2**-52)``.
     """
     if mu_n.n != mu_prev.n + 1:
         raise ValueError(f"depth mismatch: {mu_n.n} vs {mu_prev.n}")
     if mu_n.num_sites <= mu_prev.num_sites:
         raise ValueError("inconsistent volumes")
-    outer_configs = 1 << (mu_n.num_sites - mu_prev.num_sites)
-    marginal = mu_n.probabilities.reshape(outer_configs, 1 << mu_prev.num_sites).sum(axis=0)
+    n_outer = 1 << (mu_n.num_sites - mu_prev.num_sites)
+    if tol is None:
+        tol = max(KOLMOGOROV_TOL, n_outer * 2.0**-52)
+    marginal = mu_n.weights.reshape(n_outer, 1 << mu_prev.num_sites).sum(axis=0) / mu_n.z
     max_discrepancy = float(np.max(np.abs(marginal - mu_prev.probabilities)))
     return KolmogorovReport(
         max_discrepancy=max_discrepancy, passed=bool(max_discrepancy < tol), tol=tol

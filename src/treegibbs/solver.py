@@ -48,11 +48,12 @@ class FieldPair:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Scan / tolerance knobs.  ``scan_hi = None`` derives the window from
-    the a-priori bound of the instance being solved; a set ``scan_hi``
-    below that bound makes the solve raise ``ValueError``."""
+    """Scan / tolerance knobs.  Scans cover ``[-scan_hi, scan_hi]`` (or
+    ``[0, scan_hi]`` where only nonnegative roots are sought);
+    ``scan_hi = None`` derives the window from the a-priori bound of the
+    instance being solved, and a set ``scan_hi`` below that bound makes the
+    solve raise ``ValueError``."""
 
-    scan_lo: float = 0.0
     scan_hi: Optional[float] = None
     grid_points: int = 4096
     bisect_tol: float = 1e-12
@@ -66,17 +67,10 @@ class SolverConfig:
         for name in ("bisect_tol", "residual_tol", "dedup_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.scan_hi is not None and not (self.scan_lo < self.scan_hi):
-            raise ValueError("scan_lo must be below scan_hi")
+        if self.scan_hi is not None and not self.scan_hi > 0.0:
+            raise ValueError(f"scan_hi must be positive, got {self.scan_hi}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-
-
-def _uncovered(cfg: SolverConfig, bound: float) -> ValueError:
-    return ValueError(
-        f"scan interval [{cfg.scan_lo}, {cfg.scan_hi}] does not cover "
-        f"[-{bound}, {bound}]"
-    )
 
 
 def _scan_hi(cfg: SolverConfig, bound: float) -> float:
@@ -86,7 +80,10 @@ def _scan_hi(cfg: SolverConfig, bound: float) -> float:
     if cfg.scan_hi is None:
         return bound + 0.5
     if cfg.scan_hi < bound:
-        raise _uncovered(cfg, bound)
+        raise ValueError(
+            f"scan interval [-{cfg.scan_hi}, {cfg.scan_hi}] does not cover "
+            f"[-{bound}, {bound}]"
+        )
     return cfg.scan_hi
 
 
@@ -244,14 +241,11 @@ def solve_scalar(m: int, theta: float, cfg: SolverConfig | None = None) -> list[
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
     bound = m * arctanh(theta)
     hi = _scan_hi(cfg, bound)
-    lo = -hi if cfg.scan_hi is None else cfg.scan_lo
-    if lo > -bound:
-        raise _uncovered(cfg, bound)
 
     def fn(x):
         return x - m * f_theta(theta, x)
 
-    roots = find_roots_1d(fn, lo, hi, cfg)
+    roots = find_roots_1d(fn, -hi, hi, cfg)
     if not any(abs(x) < cfg.dedup_tol for x in roots):
         roots.append(0.0)
     if m * theta > 1.0 and not any(x > cfg.dedup_tol for x in roots):

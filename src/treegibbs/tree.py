@@ -97,11 +97,6 @@ class FiniteTree:
             return -1
         return (v - 1) // self.k
 
-    def edges(self, n: Optional[int] = None) -> list[tuple[int, int]]:
-        """Parent-child edges within the first n levels (default: all)."""
-        n = self.depth if n is None else n
-        return [((v - 1) // self.k, v) for v in range(1, self.level_offsets[n + 1])]
-
 
 def build_tree(k: int, n: int, max_vertices: int = MAX_VERTICES) -> FiniteTree:
     """Half tree of order k and depth n (root has k children)."""

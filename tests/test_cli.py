@@ -92,6 +92,28 @@ class TestShortScanWindow:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("a", ["3,0,0,1", "4,0,0,0"])
+    def test_covering_scan_hi_alone_solves(self, capsys, tmp_path, a):
+        # scan_hi alone sets a symmetric window, in the scalar case too
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("scan_hi = 10\n", encoding="utf-8")
+        argv = ["solve", "--k", "4", "--a", a, "--b", "4,0,0,0", "--theta", "0.8"]
+        code, out = _run(capsys, argv + ["--config", str(cfg)])
+        default_code, default_out = _run(capsys, argv)
+        assert code == default_code == 0
+        assert len(json.loads(out)["solutions"]) == len(json.loads(default_out)["solutions"])
+
+    def test_scan_lo_key_is_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "lo.cfg"
+        cfg.write_text("scan_lo = -10\nscan_hi = 10\n", encoding="utf-8")
+        code, out = _run(
+            capsys,
+            ["solve", "--k", "4", "--a", "4,0,0,0", "--b", "4,0,0,0", "--theta", "0.8",
+             "--config", str(cfg)],
+        )
+        assert code == 2
+        assert out == ""
+
 
 class TestClassify:
     def test_family_json(self, capsys):

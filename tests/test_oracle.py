@@ -2,6 +2,7 @@
 consistency, root magnetization and the variation-distance kernel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,17 +84,69 @@ class TestFiniteVolumeMeasure:
         assert mu.z == pytest.approx(mu.weights.sum(), rel=1e-15)
 
     def test_matches_config_weight_up_to_scale(self):
-        tree = build_tree(2, 1)
-        asg = _ti_assignment(tree, FieldPair(0.4, 0.0))
+        cases = [
+            (TI_DECOUPLED, FieldLabel.PLUS_H, FieldPair(0.4, 0.0), 0.6, 1),
+            # mixed labels: all four field values meet on the outer level
+            (SchemeMatrix(k=3, a=(1, 1, 1, 0), b=(0, 1, 1, 1)), FieldLabel.MINUS_L,
+             FieldPair(0.9, 0.35), 0.7, 2),
+            (SchemeMatrix(k=2, a=(1, 0, 1, 0), b=(0, 1, 0, 1)), FieldLabel.PLUS_L,
+             FieldPair(0.8, -0.45), 0.75, 3),
+        ]
+        for scheme, root, values, theta, n in cases:
+            tree = build_tree(scheme.k, n)
+            asg = assign_fields(tree, scheme, root, values)
+            c = Coupling.from_theta(theta)
+            mu = finite_volume_measure(tree, asg, c, n)
+            # mask bits: bit v set means spin -1 at vertex v
+            raw = np.array([
+                config_weight(
+                    tree, asg, c, [1 - 2 * ((mask >> v) & 1) for v in range(mu.num_sites)], n
+                )
+                for mask in range(1 << mu.num_sites)
+            ])
+            # configurations whose energy cancels to zero keep an absolute rounding
+            np.testing.assert_allclose(
+                np.log(mu.weights) + mu.log_scale, np.log(raw), rtol=1e-12, atol=1e-13
+            )
+            np.testing.assert_allclose(mu.probabilities, raw / raw.sum(), rtol=1e-13)
+
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_grafted_parent_spin_energy(self, s):
+        tree = build_tree(2, 2)
+        scheme = SchemeMatrix(k=2, a=(1, 0, 1, 0), b=(0, 1, 0, 1))
+        asg = assign_fields(tree, scheme, FieldLabel.PLUS_H, FieldPair(0.8, -0.45))
+        fields = asg.numeric_fields()
+        c = Coupling.from_theta(0.75)
+        bj = c.beta_j
+        mu = finite_volume_measure(tree, asg, c, 2, root_parent_spin=s)
+        energies = []
+        for mask in range(1 << 7):
+            sigma = [1 - 2 * ((mask >> v) & 1) for v in range(7)]
+            energy = bj * s * sigma[0]
+            energy += sum(bj * sigma[(v - 1) // 2] * sigma[v] for v in range(1, 7))
+            energy += sum(fields[v] * sigma[v] for v in range(3, 7))
+            energies.append(energy)
+        np.testing.assert_allclose(
+            np.log(mu.weights) + mu.log_scale, energies, rtol=1e-12, atol=1e-13
+        )
+
+    def test_peak_memory_is_one_vector(self):
+        # 2^20 configurations: the log weights are built and exponentiated
+        # in one float64 vector, with no spin table beside it
+        tree = build_tree(19, 1)
+        asg = assign_fields(
+            tree, SchemeMatrix(k=19, a=(19, 0, 0, 0), b=(0, 0, 19, 0)), FieldLabel.PLUS_H,
+            FieldPair(0.3, 0.0),
+        )
         c = Coupling.from_theta(0.6)
-        mu = finite_volume_measure(tree, asg, c, 1)
-        # mask bits: bit v set means spin -1 at vertex v
-        raw = []
-        for mask in range(8):
-            sigma = [1 - 2 * ((mask >> v) & 1) for v in range(3)]
-            raw.append(config_weight(tree, asg, c, sigma, 1))
-        raw = np.array(raw)
-        np.testing.assert_allclose(mu.probabilities, raw / raw.sum(), rtol=1e-13)
+        tracemalloc.start()
+        try:
+            mu = finite_volume_measure(tree, asg, c, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mu.weights.size == 1 << 20
+        assert peak <= 2 * mu.weights.nbytes
 
     def test_spin_flip_covariance(self):
         # negating every label maps the measure to its global spin flip
@@ -147,6 +200,22 @@ class TestKolmogorov:
         report = check_kolmogorov(mu3, mu2)
         assert not report.passed
         assert report.max_discrepancy > 1e-4
+
+    def test_default_tolerance_scales_with_outer_configurations(self):
+        c = Coupling.from_theta(0.8)
+        small = build_tree(2, 2)
+        asg = _ti_assignment(small, FieldPair(H_STAR_2_08, 0.0))
+        mu2, mu1 = (finite_volume_measure(small, asg, c, n) for n in (2, 1))
+        assert check_kolmogorov(mu2, mu1).tol == 1e-12
+        assert check_kolmogorov(mu2, mu1, tol=1e-3).tol == 1e-3
+        # 21 sites: each marginal entry sums 2^16 outer configurations
+        large = build_tree(4, 2)
+        m = SchemeMatrix(k=4, a=(4, 0, 0, 0), b=(0, 0, 4, 0))
+        asg = assign_fields(large, m, FieldLabel.PLUS_H, FieldPair(0.0, 0.0))
+        mu2, mu1 = (finite_volume_measure(large, asg, c, n) for n in (2, 1))
+        report = check_kolmogorov(mu2, mu1)
+        assert report.tol == 2.0**16 * 2.0**-52
+        assert report.passed
 
     def test_depth_mismatch_rejected(self):
         tree = build_tree(2, 3)

@@ -98,7 +98,7 @@ class TestSolveScalar:
         assert h > 0 and abs(h - 2 * f_theta(theta, h)) < 1e-12
 
     def test_interval_must_cover_bound(self):
-        cfg = SolverConfig(scan_lo=-1.0, scan_hi=1.0)
+        cfg = SolverConfig(scan_hi=1.0)  # 2 arctanh(0.8) = 2.197 > 1
         with pytest.raises(ValueError):
             solve_scalar(2, 0.8, cfg)
 
@@ -235,7 +235,17 @@ class TestScanWindow:
 
     def test_shifted_roots_refuse_short_window(self):
         with pytest.raises(ValueError, match="does not cover"):
-            _shifted_scalar_roots(2, 0.1, 0.8, SolverConfig(scan_lo=-10.0, scan_hi=0.5))
+            _shifted_scalar_roots(2, 0.1, 0.8, self.SHORT)
+
+    def test_scalar_window_is_symmetric(self):
+        # scan_hi alone covers the scalar roots on both sides of zero
+        assert solve_scalar(4, 0.8, SolverConfig(scan_hi=10.0)) == pytest.approx(
+            solve_scalar(4, 0.8), abs=1e-12
+        )
+
+    def test_nonpositive_window_rejected(self):
+        with pytest.raises(ValueError, match="scan_hi must be positive"):
+            SolverConfig(scan_hi=0.0)
 
     def test_covering_window_keeps_all_roots(self):
         r = ReducedParams(3, -1, 4, 0, 4)
