@@ -4,8 +4,6 @@ finite-volume oracles and extremality certificates."""
 
 from .extremality import (
     AlphaConvention,
-    BoundMethod,
-    ExpVars,
     ExtremalityReport,
     Verdict,
     assess_solution,
@@ -13,7 +11,6 @@ from .extremality import (
     exp_system_residual,
     gamma_bound,
     kappa_bound_generic,
-    kappa_bound_refined,
     extremality_windows,
     ti_field_root,
 )
@@ -46,10 +43,6 @@ from .solver import (
     SolverConfig,
     find_roots_1d,
     max_shifted_gain,
-    solve_case_a0,
-    solve_case_a0_b0,
-    solve_case_b0,
-    solve_case_general,
     solve_scalar,
     solve_system,
     system_residual,
@@ -71,20 +64,18 @@ from .tree import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaConvention", "BoundMethod", "BoundaryAssignment", "CapacityError",
-    "CompatibilityReport", "Coupling", "ExpVars", "ExtremalityReport",
-    "Family", "FieldLabel", "FieldPair", "FiniteTree", "FiniteVolumeMeasure",
+    "AlphaConvention", "BoundaryAssignment", "CapacityError",
+    "CompatibilityReport", "Coupling", "ExtremalityReport", "Family",
+    "FieldLabel", "FieldPair", "FiniteTree", "FiniteVolumeMeasure",
     "KolmogorovReport", "MeasureFamily", "ReducedParams", "SchemeMatrix",
     "SolutionSet", "SolverConfig", "Verdict", "arctanh", "assess_solution",
     "assign_fields", "big_f", "big_f_prime", "build_tree", "certify",
     "check_kolmogorov", "classify", "config_weight", "criterion_value",
     "enumerate_schemes", "exp_system_residual", "export_assignment",
     "f_theta", "f_theta_prime", "find_roots_1d", "finite_volume_measure",
-    "gamma_bound", "k_beta", "kappa_bound_generic", "kappa_bound_refined",
-    "max_shifted_gain", "nonuniqueness_criterion", "numeric_field",
-    "parent_disagreement_distance", "parse_assignment", "realizable_reduced",
-    "reduce", "root_marginal_ratio", "solve_case_a0", "solve_case_a0_b0",
-    "solve_case_b0", "solve_case_general", "solve_scalar", "solve_system",
-    "system_residual", "extremality_windows", "ti_field_root",
-    "variation_distance", "verify_compatibility",
+    "gamma_bound", "k_beta", "kappa_bound_generic", "max_shifted_gain",
+    "nonuniqueness_criterion", "numeric_field", "parent_disagreement_distance",
+    "parse_assignment", "realizable_reduced", "reduce", "root_marginal_ratio",
+    "solve_scalar", "solve_system", "system_residual", "extremality_windows",
+    "ti_field_root", "variation_distance", "verify_compatibility",
 ]

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
-from .extremality import extremality_windows, gamma_bound, kappa_bound_generic
+from .extremality import assess_solution
 from .kernels import Coupling
 from .oracle import check_kolmogorov, finite_volume_measure, root_marginal_ratio
 from .scheme import (
@@ -233,14 +233,7 @@ def _sweep_rows(payload) -> list[tuple[list[str], list[dict]]]:
     for theta in thetas:
         solutions = _solve(r, theta, cfg)
         pair = solutions.largest_nonnegative()
-        coupling = Coupling.from_theta(theta)
-        gamma = gamma_bound(coupling)
-        if abs(pair.h) <= 1e-12 or abs(pair.l) <= 1e-12:
-            kappa = coupling.theta
-        else:
-            kappa = kappa_bound_generic(coupling, pair)
-        product = k * kappa * gamma
-        verdict = extremality_windows(k, theta, pair)
+        report = assess_solution(k, Coupling.from_theta(theta), pair)
         head = [
             str(r.a), str(r.b), str(r.c), str(r.d),
             _fmt(theta),
@@ -249,8 +242,8 @@ def _sweep_rows(payload) -> list[tuple[list[str], list[dict]]]:
         ]
         tail = [
             _fmt(pair.h), _fmt(pair.l),
-            _fmt(kappa), _fmt(gamma), _fmt(product),
-            verdict.value,
+            _fmt(report.kappa_bound), _fmt(report.gamma_bound), _fmt(report.product),
+            report.verdict.value,
         ]
         for m, (rows, warn_entries) in zip(schemes, out):
             rows.append(",".join([

@@ -4,9 +4,10 @@
     l = c f_theta(h) + d f_theta(l)
 
 split into the four classical case reductions on (a = 0?, b = 0?), with a
-grid-scan + bisection root isolator underneath.  Every returned pair is
-verified against both equations; the solution set always contains (0, 0)
-and is closed under (h, l) -> (-h, -l).
+grid-scan + bisection root isolator underneath.  With b != 0 and c = 0 the
+transposed system (d, 0, b, a) is solved instead, so that l decouples.
+Every returned pair is verified against both equations; the solution set
+always contains (0, 0) and is closed under (h, l) -> (-h, -l).
 
 The isolator only finds sign-change-separated roots: a tangential root is
 found only when a grid point lands essentially on top of it.  The scan
@@ -463,7 +464,9 @@ def _assemble(
     )
 
 
-def _solve_dispatch(r: ReducedParams, theta: float, cfg: SolverConfig | None) -> SolutionSet:
+def solve_system(r: ReducedParams, theta: float, cfg: SolverConfig | None = None) -> SolutionSet:
+    """All isolated solutions of the two-field system for reduced
+    parameters ``r`` at the given theta."""
     cfg = cfg or SolverConfig()
     theta = float(theta)
     if abs(theta) >= 1.0:
@@ -482,40 +485,12 @@ def _solve_dispatch(r: ReducedParams, theta: float, cfg: SolverConfig | None) ->
         pairs, warns = _case_a0(r_eff, theta_eff, cfg)
     elif r_eff.b == 0:
         pairs, warns = _case_b0(r_eff, theta_eff, cfg)
+    elif r_eff.c == 0:
+        # Swapping h and l maps (a, b, c, d) to (d, c, b, a): solve the
+        # transpose, where l decouples first, and swap each pair back.
+        a, b, _, d = r_eff.abcd
+        pairs, warns = _case_b0(ReducedParams(d, 0, b, a, r_eff.k), theta_eff, cfg)
+        pairs = [FieldPair(p.l, p.h) for p in pairs]
     else:
         pairs, warns = _case_general(r_eff, theta_eff, cfg)
     return _assemble(pairs, warns, r, theta, cfg)
-
-
-def solve_case_a0_b0(r: ReducedParams, theta: float, cfg: SolverConfig | None = None) -> SolutionSet:
-    """a = b = 0: h = 0 and l solves the scalar equation l = d f_theta(l)."""
-    if r.a != 0 or r.b != 0:
-        raise ValueError(f"case requires a = b = 0, got {r.abcd}")
-    return _solve_dispatch(r, theta, cfg)
-
-
-def solve_case_a0(r: ReducedParams, theta: float, cfg: SolverConfig | None = None) -> SolutionSet:
-    """a = 0, b != 0: close in l, back-substitute h = b f_theta(l)."""
-    if r.a != 0 or r.b == 0:
-        raise ValueError(f"case requires a = 0, b != 0, got {r.abcd}")
-    return _solve_dispatch(r, theta, cfg)
-
-
-def solve_case_b0(r: ReducedParams, theta: float, cfg: SolverConfig | None = None) -> SolutionSet:
-    """a != 0, b = 0: h decouples; solve the shifted l-equation per branch."""
-    if r.a == 0 or r.b != 0:
-        raise ValueError(f"case requires a != 0, b = 0, got {r.abcd}")
-    return _solve_dispatch(r, theta, cfg)
-
-
-def solve_case_general(r: ReducedParams, theta: float, cfg: SolverConfig | None = None) -> SolutionSet:
-    """a != 0, b != 0: close in h via the composed map, back-substitute l."""
-    if r.a == 0 or r.b == 0:
-        raise ValueError(f"case requires a != 0 and b != 0, got {r.abcd}")
-    return _solve_dispatch(r, theta, cfg)
-
-
-def solve_system(r: ReducedParams, theta: float, cfg: SolverConfig | None = None) -> SolutionSet:
-    """All isolated solutions of the two-field system for reduced
-    parameters ``r`` at the given theta."""
-    return _solve_dispatch(r, theta, cfg)

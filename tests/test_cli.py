@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from treegibbs.cli import main
+from treegibbs import ReducedParams, kappa_bound_generic, Coupling, solve_system
+from treegibbs.cli import _fmt, main
 
 H_STAR_2_08 = 2.0634370688955605
 
@@ -37,6 +38,33 @@ class TestSolve:
         assert code == 0
         payload = json.loads(out)
         assert payload["solutions"] == [{"h": 0.0, "l": 0.0, "residual": 0.0}]
+
+    def test_c0_plateau_is_one_solution(self, capsys):
+        # reduction (2,-2,0,2) at theta = 1/2: l = 2 f(l) has only the root
+        # 0, so the true set is {(0, 0)}; closing in h found a plateau of
+        # float-noise sign changes and reported 57 solutions
+        code, out = _run(
+            capsys, ["solve", "--k", "4", "--a", "2,0,0,2", "--b", "0,0,3,1", "--theta", "0.5"]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["reduced"] == {"a": 2, "b": -2, "c": 0, "d": 2}
+        assert payload["solutions"] == [{"h": 0.0, "l": 0.0, "residual": 0.0}]
+
+    def test_c0_tangential_root_found(self, capsys):
+        # reduction (3,1,0,2) at 0.6 and (2,0,-1,3), its transpose up to
+        # l -> -l, both give 7 solutions, the double root flagged as
+        # boundary-degenerate
+        counts = []
+        for a, b in (("3,0,1,0", "1,1,2,0"), ("2,0,1,1", "0,1,3,0")):
+            code, out = _run(
+                capsys, ["solve", "--k", "4", "--a", a, "--b", b, "--theta", "0.6"]
+            )
+            assert code == 0
+            payload = json.loads(out)
+            assert any("boundary-degenerate" in w for w in payload["warnings"])
+            counts.append(len(payload["solutions"]))
+        assert counts == [7, 7]
 
     def test_invalid_matrix_exit_2(self, capsys):
         code, _ = _run(
@@ -240,6 +268,47 @@ class TestSweep:
         assert serial == ("\n".join(lines) + "\n", warnings)
         if k == 4:
             assert [w["scheme"] for w in warnings] == schemes
+
+    def test_extremality_columns_consistent(self, capsys, tmp_path):
+        # every row of a full k=2 sweep prints one report: the bounds and
+        # product of its largest nonnegative pair, and a verdict that is
+        # the window for h*l = 0 and k*kappa*gamma < 1 otherwise
+        k, lo, hi, steps = 2, 0.05, 0.95, 19
+        out = tmp_path / "all.csv"
+        code = main(["sweep", "--k", str(k), "--theta-lo", str(lo), "--theta-hi", str(hi),
+                     "--steps", str(steps), "--out", str(out), "--jobs", "1"])
+        capsys.readouterr()
+        assert code == 0
+        thetas = {_fmt(t): t for t in (lo + i * (hi - lo) / (steps - 1) for i in range(steps))}
+        lines = out.read_text(encoding="utf-8").splitlines()
+        header = lines[1].split(",")
+        pairs = {}
+        certified = 0
+        for line in lines[2:]:
+            row = dict(zip(header, line.split(",")))
+            theta = thetas[row["theta"]]
+            abcd = tuple(int(row[c]) for c in "abcd")
+            if (abcd, theta) not in pairs:
+                r = ReducedParams(*abcd, k)
+                pairs[abcd, theta] = solve_system(r, theta).largest_nonnegative()
+            pair = pairs[abcd, theta]
+            assert (row["h"], row["l"]) == (_fmt(pair.h), _fmt(pair.l))
+            zero = abs(pair.h) <= 1e-12 or abs(pair.l) <= 1e-12
+            kappa = theta if zero else kappa_bound_generic(Coupling.from_theta(theta), pair)
+            product = k * kappa * theta
+            assert row["kappa_bound"] == _fmt(kappa)
+            assert row["gamma_bound"] == _fmt(theta)
+            assert row["product"] == _fmt(product)
+            is_certified = row["verdict"] == "ExtremeCertified"
+            certified += is_certified
+            if is_certified:
+                assert product < 1.0, line
+            if zero:
+                assert is_certified == (1 / k < theta < 1 / math.sqrt(k)), line
+            else:
+                assert is_certified == (product < 1.0), line
+        assert len(lines) == 2 + 100 * steps
+        assert certified > 0
 
     def test_bad_grid_exit_3(self, capsys, tmp_path):
         code = main(

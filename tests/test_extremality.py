@@ -8,7 +8,6 @@ import pytest
 
 from treegibbs import (
     AlphaConvention,
-    BoundMethod,
     Coupling,
     FieldPair,
     SchemeMatrix,
@@ -21,7 +20,6 @@ from treegibbs import (
     gamma_bound,
     k_beta,
     kappa_bound_generic,
-    kappa_bound_refined,
     realizable_reduced,
     solve_scalar,
     solve_system,
@@ -69,20 +67,30 @@ class TestKappaGeneric:
 
 
 class TestKappaRefined:
+    """The "refined" kappa (1/k)(A/J(A))J'(A), J = F^k, alpha = exp(-2bJ),
+    is k_beta(A) itself; the library computes it only as ``k_beta``."""
+
+    @staticmethod
+    def refined(c, k, bigA):
+        alpha = math.exp(-2 * c.beta_j)
+        f_val = big_f(alpha, bigA)
+        j_prime = k * f_val ** (k - 1) * big_f_prime(alpha, bigA)
+        return (1.0 / k) * (bigA / f_val**k) * j_prime
+
     def test_equals_k_beta_identity(self):
-        # (1/k)(A/J(A))J'(A) == k_beta(A) exactly under alpha = exp(-2bJ)
         c = Coupling.from_theta(0.8)
         h_star = ti_field_root(2, 0.8)
-        for frac in (0.999, 0.75, 0.5, 0.25, 0.05):
-            bigA = math.exp(2 * frac * h_star)
-            assert kappa_bound_refined(c, 2, bigA) == pytest.approx(
-                k_beta(c, bigA), abs=1e-10
-            )
+        for k in (2, 3, 4):
+            for frac in (1.5, 0.999, 0.75, 0.5, 0.25, 0.05, -0.5):
+                bigA = math.exp(2 * frac * h_star)
+                assert k_beta(c, bigA) == pytest.approx(
+                    self.refined(c, k, bigA), abs=1e-10
+                )
 
     def test_below_bound_at_fixed_point(self):
         c = Coupling.from_theta(0.8)
         h_star = ti_field_root(2, 0.8)
-        assert kappa_bound_refined(c, 2, math.exp(2 * h_star)) <= 0.5
+        assert k_beta(c, math.exp(2 * h_star)) <= 0.5
 
     def test_mid_regime_exceeds_over_k(self):
         # at h = h*/2 the value is 40/77 = 0.51948... > 1/2: the bound
@@ -91,8 +99,8 @@ class TestKappaRefined:
         # must use the computed value, never the nominal 1/k
         c = Coupling.from_theta(0.8)
         h_star = ti_field_root(2, 0.8)
-        value = kappa_bound_refined(c, 2, math.exp(h_star))
-        assert value == pytest.approx(k_beta(c, math.exp(h_star)), abs=1e-12)
+        value = k_beta(c, math.exp(h_star))
+        assert value == pytest.approx(self.refined(c, 2, math.exp(h_star)), abs=1e-12)
         assert value == pytest.approx(40.0 / 77.0, abs=1e-12)
         assert value > 0.5
 
@@ -103,15 +111,6 @@ class TestKappaRefined:
         j_prime = 2 * big_f(alpha, xs) * big_f_prime(alpha, xs)
         assert j_prime[0] == pytest.approx(2 * c.theta, abs=1e-12)
         assert np.any(j_prime > 1.0)
-
-    def test_regime_errors(self):
-        c = Coupling.from_theta(0.4)  # below 1/k for k = 2
-        with pytest.raises(ValueError):
-            kappa_bound_refined(c, 2, 2.0)
-        c = Coupling.from_theta(0.8)
-        h_star = ti_field_root(2, 0.8)
-        with pytest.raises(ValueError):
-            kappa_bound_refined(c, 2, math.exp(2 * (h_star + 0.1)))
 
 
 class TestCertify:
@@ -126,10 +125,9 @@ class TestCertify:
         assert report.verdict is Verdict.INCONCLUSIVE
 
     def test_refined_style_product(self):
-        report = certify(2, 0.5, 0.8, BoundMethod.REFINED_OVER_K)
+        report = certify(2, 0.5, 0.8)
         assert report.product == pytest.approx(0.8)
         assert report.verdict is Verdict.EXTREME_CERTIFIED
-        assert report.method is BoundMethod.REFINED_OVER_K
 
     def test_monotone_in_bounds(self):
         base = certify(3, 0.4, 0.7)
@@ -189,23 +187,33 @@ class TestWindows:
             extremality_windows(2, 0.0, FieldPair(0.0, 0.0))
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_verdict_matches_assess_solution(self, k):
-        # the windows verdict skips assess_solution's h* solve; the two must
-        # still agree on every solved pair with both components nonzero
+    def test_assess_solution_negation_invariant(self, k):
+        # kappa is a max over exp(+-2h), exp(+-2l), so (h, l) -> (-h, -l)
+        # changes no field of the report, on zero and nonzero pairs alike
         thetas = [round(0.05 + 0.075 * i, 3) for i in range(13)]
-        nonzero = 0
+        checked = 0
         for r in sorted(realizable_reduced(k), key=lambda q: q.abcd)[::13]:
             for theta in thetas:
                 coupling = Coupling.from_theta(theta)
                 for pair in solve_system(r, theta):
-                    if pair.h == 0.0 or pair.l == 0.0:
-                        continue
-                    nonzero += 1
-                    assert (
-                        extremality_windows(k, theta, pair)
-                        is assess_solution(k, coupling, pair).verdict
+                    checked += 1
+                    assert assess_solution(k, coupling, pair) == assess_solution(
+                        k, coupling, pair.negated()
                     ), (r.abcd, theta, pair)
-        assert nonzero > 0
+        assert checked > 0
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_zero_pair_below_window_inconclusive(self, k):
+        # at theta <= 1/k the product k theta^2 is below 1, yet the window
+        # 1/k < theta < 1/sqrt(k) decides zero pairs: the verdict stays
+        # Inconclusive
+        for theta in (0.5 / k, math.nextafter(1.0 / k, 0.0), 1.0 / k):
+            for pair in (FieldPair(0.0, 0.0), FieldPair(0.0, 1e-13)):
+                report = assess_solution(k, Coupling.from_theta(theta), pair)
+                assert report.product < 1.0
+                assert report.product == k * theta * theta
+                assert report.verdict is Verdict.INCONCLUSIVE
+                assert extremality_windows(k, theta, pair) is Verdict.INCONCLUSIVE
 
 
 class TestExpSystem:

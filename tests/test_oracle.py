@@ -19,6 +19,7 @@ from treegibbs import (
     config_weight,
     finite_volume_measure,
     k_beta,
+    numeric_field,
     parent_disagreement_distance,
     reduce,
     root_marginal_ratio,
@@ -250,6 +251,20 @@ class TestRootMarginalRatio:
         c = Coupling.from_theta(0.8)
         ratio = root_marginal_ratio(finite_volume_measure(tree, asg, c, 2))
         assert ratio == pytest.approx(math.exp(2 * H_STAR_2_08), rel=1e-10)
+
+    def test_large_ratio_relative_precision(self):
+        # a ratio near 41,729: both halves of the root marginal are summed
+        # directly, so the small plus probability keeps its relative
+        # precision (1 - P(-1) would lose about 11 digits of it)
+        scheme = SchemeMatrix(k=3, a=(0, 0, 3, 0), b=(0, 0, 3, 0))
+        tree = build_tree(3, 2)
+        for i in range(31):
+            theta = 0.914 + 0.001 * i
+            pair = solve_system(reduce(scheme), theta).solutions[0]
+            asg = assign_fields(tree, scheme, FieldLabel.PLUS_H, pair)
+            expected = math.exp(-2 * numeric_field(asg, 0))
+            mu = finite_volume_measure(tree, asg, Coupling.from_theta(theta), 2)
+            assert root_marginal_ratio(mu) == pytest.approx(expected, rel=1e-13), theta
 
 
 class TestVariationDistanceKernel:

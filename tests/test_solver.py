@@ -17,10 +17,6 @@ from treegibbs import (
     find_roots_1d,
     max_shifted_gain,
     realizable_reduced,
-    solve_case_a0,
-    solve_case_a0_b0,
-    solve_case_b0,
-    solve_case_general,
     solve_scalar,
     solve_system,
     system_residual,
@@ -111,33 +107,29 @@ class TestSolveScalar:
 
 class TestCaseA0B0:
     def test_all_zero(self):
-        sols = solve_case_a0_b0(ReducedParams(0, 0, 0, 0, 2), 0.9)
+        sols = solve_system(ReducedParams(0, 0, 0, 0, 2), 0.9)
         assert _pairs(sols) == [(0.0, 0.0)]
 
     def test_supercritical_l(self):
-        sols = solve_case_a0_b0(ReducedParams(0, 0, 0, 2, 2), 0.8)
+        sols = solve_system(ReducedParams(0, 0, 0, 2, 2), 0.8)
         assert len(sols) == 3
         l_star = max(p.l for p in sols)
         assert l_star == pytest.approx(H_STAR_2_08, abs=1e-12)
 
     def test_subcritical_l(self):
-        sols = solve_case_a0_b0(ReducedParams(0, 0, 0, 2, 2), 0.3)
+        sols = solve_system(ReducedParams(0, 0, 0, 2, 2), 0.3)
         assert _pairs(sols) == [(0.0, 0.0)]
 
     def test_negative_d_has_no_extra_roots(self):
         # x and -2 f_theta(x) have opposite signs away from zero
-        sols = solve_case_a0_b0(ReducedParams(0, 0, 0, -2, 2), 0.55)
+        sols = solve_system(ReducedParams(0, 0, 0, -2, 2), 0.55)
         assert _pairs(sols) == [(0.0, 0.0)]
-
-    def test_pattern_enforced(self):
-        with pytest.raises(ValueError):
-            solve_case_a0_b0(ReducedParams(2, 0, 0, 2, 2), 0.8)
 
 
 class TestCaseA0:
     def test_cross_coupled(self):
         r = ReducedParams(0, 2, 2, 0, 2)
-        sols = solve_case_a0(r, 0.6)
+        sols = solve_system(r, 0.6)
         assert len(sols) == 3
         top = sols.largest_nonnegative()
         assert top.h > 0 and top.l > 0
@@ -145,18 +137,18 @@ class TestCaseA0:
         assert top.h == pytest.approx(top.l, abs=1e-12)
 
     def test_dangling_b_forces_zero(self):
-        sols = solve_case_a0(ReducedParams(0, 2, 0, 0, 2), 0.9)
+        sols = solve_system(ReducedParams(0, 2, 0, 0, 2), 0.9)
         assert _pairs(sols) == [(0.0, 0.0)]
 
     def test_negation_closure(self):
-        sols = solve_case_a0(ReducedParams(0, 2, 2, 0, 2), 0.6)
+        sols = solve_system(ReducedParams(0, 2, 2, 0, 2), 0.6)
         tuples = set(_pairs(sols))
         assert all((-h, -l) in tuples for (h, l) in tuples)
 
 
 class TestCaseB0:
     def test_decoupled_nine(self):
-        sols = solve_case_b0(ReducedParams(2, 0, 0, 2, 2), 0.8)
+        sols = solve_system(ReducedParams(2, 0, 0, 2, 2), 0.8)
         # oracle: the cross product of the two independent scalar solutions
         h_roots = solve_scalar(2, 0.8)
         expected = {(h, l) for h in h_roots for l in h_roots}
@@ -168,14 +160,14 @@ class TestCaseB0:
 
     def test_explicit_l_when_d_zero(self):
         # with d = 0 the second equation is the explicit line l = (c/a) h
-        sols = solve_case_b0(ReducedParams(2, 0, 2, 0, 2), 0.8)
+        sols = solve_system(ReducedParams(2, 0, 2, 0, 2), 0.8)
         assert len(sols) == 3
         top = sols.largest_nonnegative()
         assert top.h == pytest.approx(H_STAR_2_08, abs=1e-12)
         assert top.l == pytest.approx(H_STAR_2_08, abs=1e-12)
 
     def test_subcritical_unique(self):
-        sols = solve_case_b0(ReducedParams(2, 0, 0, 2, 2), 0.3)
+        sols = solve_system(ReducedParams(2, 0, 0, 2, 2), 0.3)
         assert _pairs(sols) == [(0.0, 0.0)]
 
     def test_shifted_branch_counts(self):
@@ -196,7 +188,7 @@ class TestCaseB0:
 
 class TestCaseGeneral:
     def test_symmetric_ansatz(self):
-        sols = solve_case_general(ReducedParams(1, 1, 1, 1, 2), 0.8)
+        sols = solve_system(ReducedParams(1, 1, 1, 1, 2), 0.8)
         t = solve_scalar(2, 0.8)[-1]
         tuples = _pairs(sols)
         assert (0.0, 0.0) in tuples
@@ -208,15 +200,48 @@ class TestCaseGeneral:
         # no guaranteed extra roots, and the scan finds none
         r = ReducedParams(1, -1, 0, -2, 2)
         assert criterion_value(r, 0.6) == pytest.approx(2 * 0.36 - 0.6)
-        sols = solve_case_general(r, 0.6)
+        sols = solve_system(r, 0.6)
         assert _pairs(sols) == [(0.0, 0.0)]
 
     def test_asymmetric_positive_pair(self):
         # frozen from the development mpmath oracle for this instance
-        sols = solve_case_general(ReducedParams(1, 1, 1, -1, 2), 0.75)
+        sols = solve_system(ReducedParams(1, 1, 1, -1, 2), 0.75)
         top = sols.largest_nonnegative()
         assert top.h == pytest.approx(0.6785469430733215, abs=1e-10)
         assert top.l == pytest.approx(0.2731943391021021, abs=1e-10)
+
+
+class TestTranspose:
+    """Swapping h and l maps the reduction (a, b, c, d) to (d, c, b, a)."""
+
+    @staticmethod
+    def _thetas(k):
+        thetas = [0.05 + i * 0.9 / 18 for i in range(19)]
+        for m in range(2, k + 1):
+            thetas += [1.0 / m, math.nextafter(1.0 / m, 0.0)]
+        return thetas
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_solution_sets_swap(self, k):
+        # with b != 0 and c != 0 the two sides take independent paths (each
+        # closes in its own first field); each unordered pair is solved once
+        cfg = SolverConfig()
+        checked = 0
+        for r in realizable_reduced(k):
+            rt = ReducedParams(r.d, r.c, r.b, r.a, k)
+            if r.b == 0 or r.c == 0 or rt.abcd < r.abcd:
+                continue
+            for theta in self._thetas(k):
+                sols = solve_system(r, theta, cfg)
+                swapped = [(q.l, q.h) for q in solve_system(rt, theta, cfg)]
+                assert len(sols) == len(swapped), (r.abcd, theta)
+                for p in sols:
+                    assert any(
+                        abs(p.h - h) < cfg.dedup_tol and abs(p.l - l) < cfg.dedup_tol
+                        for h, l in swapped
+                    ), (r.abcd, theta, p)
+                checked += 1
+        assert checked > 0
 
 
 class TestScanWindow:
