@@ -332,11 +332,10 @@ def _cmd_verify(args) -> int:
     theta = _parse_theta(args.theta)
     coupling = Coupling.from_theta(theta)
     if args.assignment:
-        with open(args.assignment, "r", encoding="utf-8") as fh:
-            text = fh.read()
         try:
-            assignment = parse_assignment(text)
-        except ValueError as exc:
+            with open(args.assignment, "r", encoding="utf-8") as fh:
+                assignment = parse_assignment(fh.read())
+        except ValueError as exc:  # also text that is not UTF-8
             raise _MatrixError(f"bad assignment file: {exc}") from exc
         tree = assignment.tree
         n = tree.depth

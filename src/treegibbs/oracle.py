@@ -110,15 +110,12 @@ def config_weight(
     if len(sigma) != num_sites:
         raise ValueError(f"configuration must cover {num_sites} vertices, got {len(sigma)}")
     spins = np.asarray(sigma, dtype=float)
-    if not np.all(np.abs(spins) == 1.0):
+    if not (np.abs(spins) == 1.0).all():
         raise ValueError("spins must be +-1")
-    bj = coupling.beta_j
-    energy = 0.0
-    for v in range(1, num_sites):
-        energy += bj * spins[(v - 1) // tree.k] * spins[v]
-    fields = assignment.numeric_fields()
-    for v in tree.level(n):
-        energy += fields[v] * spins[v]
+    parents = np.arange(num_sites - 1) // tree.k  # of vertices 1 .. num_sites - 1
+    outer = slice(tree.level_offsets[n], num_sites)
+    bonds = float(spins[parents] @ spins[1:])
+    energy = coupling.beta_j * bonds + float(assignment.numeric_fields()[outer] @ spins[outer])
     return math.exp(energy)
 
 

@@ -9,10 +9,19 @@ the child labels of a vertex are fixed by a scheme matrix (row ``a`` under
 an H-type parent, row ``b`` under an L-type parent, sign-flipped under a
 negative parent).  Labels resolve to numbers late, through a field pair
 (h, l), so one assignment can be re-evaluated against several solutions.
+
+An assignment stores its labels as one int8 code per vertex, in index
+order: bit 0 is set for an L-type label and bit 1 for a negative one, so
+the codes 0, 1, 2, 3 stand for +H, +L, -H, -L, the field values of the
+codes are ``[h, l, -h, -l]`` and negation flips bit 1.  Labelling, field
+values, the compatibility check and the exchange format all work on the
+code array; ``BoundaryAssignment.labels`` is a tuple of ``FieldLabel``
+decoded from it on first access, for callers that want enum members.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -26,6 +35,9 @@ from .solver import FieldPair
 
 MAX_VERTICES = 1_000_000
 
+_L_TYPE = 1  # code bit of an L-type label
+_NEGATIVE = 2  # code bit of a negative label
+
 
 class CapacityError(RuntimeError):
     """A requested finite volume exceeds the configured desk-scale cap."""
@@ -38,29 +50,19 @@ class FieldLabel(Enum):
     MINUS_L = "-L"
 
     def negated(self) -> "FieldLabel":
-        return _NEGATION[self]
+        return _BY_CODE[_CODE[self] ^ _NEGATIVE]
 
     @property
     def is_h_type(self) -> bool:
-        return self in (FieldLabel.PLUS_H, FieldLabel.MINUS_H)
+        return not _CODE[self] & _L_TYPE
 
     @property
     def sign(self) -> int:
-        return 1 if self in (FieldLabel.PLUS_H, FieldLabel.PLUS_L) else -1
+        return -1 if _CODE[self] & _NEGATIVE else 1
 
 
-_NEGATION = {
-    FieldLabel.PLUS_H: FieldLabel.MINUS_H,
-    FieldLabel.MINUS_H: FieldLabel.PLUS_H,
-    FieldLabel.PLUS_L: FieldLabel.MINUS_L,
-    FieldLabel.MINUS_L: FieldLabel.PLUS_L,
-}
-
-
-def _label(h_type: bool, sign: int) -> FieldLabel:
-    if h_type:
-        return FieldLabel.PLUS_H if sign > 0 else FieldLabel.MINUS_H
-    return FieldLabel.PLUS_L if sign > 0 else FieldLabel.MINUS_L
+_BY_CODE = (FieldLabel.PLUS_H, FieldLabel.PLUS_L, FieldLabel.MINUS_H, FieldLabel.MINUS_L)
+_CODE = {lab: code for code, lab in enumerate(_BY_CODE)}
 
 
 @dataclass(frozen=True)
@@ -80,12 +82,6 @@ class FiniteTree:
 
     def level(self, m: int) -> range:
         return range(self.level_offsets[m], self.level_offsets[m + 1])
-
-    def level_of(self, v: int) -> int:
-        for m in range(self.depth + 1):
-            if v < self.level_offsets[m + 1]:
-                return m
-        raise KeyError(f"vertex {v} not in tree")
 
     def children(self, v: int) -> range:
         if v >= self.level_offsets[self.depth]:
@@ -116,33 +112,38 @@ def build_tree(k: int, n: int, max_vertices: int = MAX_VERTICES) -> FiniteTree:
     return FiniteTree(k=k, depth=n, level_offsets=tuple(offsets))
 
 
-@dataclass(frozen=True)
+def _field_values(values: FieldPair) -> np.ndarray:
+    """Field value of each label code: ``[h, l, -h, -l]``."""
+    return np.array([values.h, values.l, -values.h, -values.l], dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
 class BoundaryAssignment:
-    """Vertex labels plus the field pair giving them numeric meaning."""
+    """Vertex labels, as int8 codes in index order (see the module
+    docstring), plus the field pair giving them numeric meaning.  The code
+    array is made read-only."""
 
     tree: FiniteTree
-    labels: tuple[FieldLabel, ...]
+    codes: np.ndarray
     values: FieldPair
     scheme: Optional[SchemeMatrix] = None
+
+    def __post_init__(self):
+        self.codes.flags.writeable = False
+
+    @functools.cached_property
+    def labels(self) -> tuple[FieldLabel, ...]:
+        """The labels of all vertices, in index order."""
+        return tuple(map(_BY_CODE.__getitem__, self.codes.tolist()))
 
     def label_at(self, v: int) -> FieldLabel:
         if not (0 <= v < self.tree.num_vertices):
             raise KeyError(f"vertex {v} not in assignment")
-        return self.labels[v]
-
-    def with_values(self, values: FieldPair) -> "BoundaryAssignment":
-        return BoundaryAssignment(self.tree, self.labels, values, self.scheme)
+        return _BY_CODE[self.codes[v]]
 
     def numeric_fields(self) -> np.ndarray:
         """Vector of field values for all vertices, in index order."""
-        h, l = self.values.h, self.values.l
-        value_of = {
-            FieldLabel.PLUS_H: h,
-            FieldLabel.MINUS_H: -h,
-            FieldLabel.PLUS_L: l,
-            FieldLabel.MINUS_L: -l,
-        }
-        return np.array([value_of[lab] for lab in self.labels], dtype=float)
+        return _field_values(self.values)[self.codes]
 
 
 def assign_fields(
@@ -152,34 +153,34 @@ def assign_fields(
     values: FieldPair,
     seed: Optional[int] = None,
 ) -> BoundaryAssignment:
-    """Label the whole tree from the root downward following the scheme.
+    """Label the whole tree from the root downward following the scheme,
+    one level at a time.
 
     Children of each vertex are labelled in canonical block order (same-sign
     H block, opposite-sign H, same-sign L, opposite-sign L); pass ``seed``
-    to permute each vertex's child block instead.  Any permutation yields
-    the same per-vertex child multiset, hence the same compatibility
-    residuals.
+    to permute each vertex's child block instead, uniformly: the block is
+    ordered by 64-bit keys drawn from ``random.Random(seed).randbytes``.
+    Any permutation yields the same per-vertex child multiset, hence the
+    same compatibility residuals.
     """
     if tree.k != m.k:
         raise ValueError(f"tree order {tree.k} does not match scheme order {m.k}")
+    # row c holds the child codes of a parent with code c: the blocks of
+    # +H and +L parents, then the same with the sign bit flipped
+    blocks = [np.repeat([0, 2, 1, 3], row) for row in (m.a, m.b)]
+    table = np.array(blocks, dtype=np.int8)
+    table = np.concatenate([table, table ^ _NEGATIVE])
     rng = random.Random(seed) if seed is not None else None
-    labels: list[FieldLabel] = [root_label] * tree.num_vertices
-    labels[0] = root_label
-    for v in range(tree.level_offsets[tree.depth]):
-        lab = labels[v]
-        counts = m.a if lab.is_h_type else m.b
-        s = lab.sign
-        block = (
-            [_label(True, s)] * counts[0]
-            + [_label(True, -s)] * counts[1]
-            + [_label(False, s)] * counts[2]
-            + [_label(False, -s)] * counts[3]
-        )
+    offsets = tree.level_offsets
+    codes = np.empty(tree.num_vertices, dtype=np.int8)
+    codes[0] = _CODE[root_label]
+    for level in range(tree.depth):
+        block = table[codes[offsets[level] : offsets[level + 1]]]
         if rng is not None:
-            rng.shuffle(block)
-        for child, child_label in zip(tree.children(v), block):
-            labels[child] = child_label
-    return BoundaryAssignment(tree=tree, labels=tuple(labels), values=values, scheme=m)
+            keys = np.frombuffer(rng.randbytes(8 * block.size), dtype="<u8")
+            block = np.take_along_axis(block, keys.reshape(block.shape).argsort(axis=1), axis=1)
+        codes[offsets[level + 1] : offsets[level + 2]] = block.ravel()
+    return BoundaryAssignment(tree=tree, codes=codes, values=values, scheme=m)
 
 
 def numeric_field(assignment: BoundaryAssignment, x: int) -> float:
@@ -205,16 +206,16 @@ def verify_compatibility(
 
     This is the bridge between the solved field pair and the finite-volume
     measures: the residual vanishes exactly when (h, l) solves the reduced
-    two-field system of the assignment's scheme.
+    two-field system of the assignment's scheme.  ``f_theta`` is evaluated
+    once per label code and gathered by code.
     """
     tree = assignment.tree
     if tree.depth < 1:
         raise ValueError("compatibility needs a tree of depth >= 1")
-    vals = assignment.numeric_fields()
-    f_vals = f_theta(theta, vals)
     n_internal = tree.level_offsets[tree.depth]
-    child_sums = f_vals[1:].reshape(n_internal, tree.k).sum(axis=1)
-    residuals = np.abs(vals[:n_internal] - child_sums)
+    f_vals = f_theta(theta, _field_values(assignment.values))[assignment.codes[1:]]
+    child_sums = f_vals.reshape(n_internal, tree.k).sum(axis=1)
+    residuals = np.abs(assignment.numeric_fields()[:n_internal] - child_sums)
     worst = int(np.argmax(residuals))
     max_residual = float(residuals[worst])
     return CompatibilityReport(
@@ -226,51 +227,27 @@ def verify_compatibility(
 
 
 # ---------------------------------------------------------------------------
-# Line-oriented assignment exchange format
+# Line-oriented assignment exchange format (in ``_exchange``, loaded on use)
 # ---------------------------------------------------------------------------
 
 
 def export_assignment(assignment: BoundaryAssignment) -> str:
     """Serialize as a header line ``k=<k> n=<n> h=<h> l=<l>`` followed by
-    one ``vertex<TAB>parent<TAB>label`` line per vertex."""
-    tree = assignment.tree
-    lines = [
-        f"k={tree.k} n={tree.depth} h={assignment.values.h!r} l={assignment.values.l!r}"
-    ]
-    for v in range(tree.num_vertices):
-        lines.append(f"{v}\t{tree.parent(v)}\t{assignment.labels[v].value}")
-    return "\n".join(lines) + "\n"
+    one ``vertex<TAB>parent<TAB>label`` line per vertex, in vertex order,
+    each ending in a newline (the root's parent is -1)."""
+    from . import _exchange
+
+    return _exchange.export_text(assignment)
 
 
 def parse_assignment(text: str) -> BoundaryAssignment:
-    """Inverse of :func:`export_assignment` (scheme reference not recovered)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty assignment text")
-    try:
-        header = dict(item.split("=", 1) for item in lines[0].split())
-        k, n = int(header["k"]), int(header["n"])
-        values = FieldPair(float(header["h"]), float(header["l"]))
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad assignment header: {lines[0]!r}") from exc
-    tree = build_tree(k, n)
-    if len(lines) - 1 != tree.num_vertices:
-        raise ValueError(
-            f"expected {tree.num_vertices} vertex lines, got {len(lines) - 1}"
-        )
-    labels: list[FieldLabel] = [FieldLabel.PLUS_H] * tree.num_vertices
-    seen = [False] * tree.num_vertices
-    for ln in lines[1:]:
-        parts = ln.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"bad assignment line: {ln!r}")
-        v, parent = int(parts[0]), int(parts[1])
-        if not (0 <= v < tree.num_vertices) or parent != tree.parent(v):
-            raise ValueError(f"bad vertex/parent pair on line: {ln!r}")
-        if seen[v]:
-            raise ValueError(f"duplicate vertex {v}")
-        seen[v] = True
-        labels[v] = FieldLabel(parts[2])
-    if not all(seen):
-        raise ValueError("missing vertex lines")
-    return BoundaryAssignment(tree=tree, labels=tuple(labels), values=values)
+    """Inverse of :func:`export_assignment` (scheme reference not recovered).
+
+    Accepts exactly the text that :func:`export_assignment` writes, with
+    trailing whitespace allowed after the last line, and raises
+    ``ValueError`` for anything else; a header whose tree exceeds the
+    vertex cap raises :class:`CapacityError`.
+    """
+    from . import _exchange
+
+    return _exchange.parse_text(text)

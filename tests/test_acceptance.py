@@ -140,7 +140,9 @@ def test_a3_compatibility_bridge(solved_instances, depth3_tree):
             asg = assign_fields(depth3_tree, m, FieldLabel.PLUS_H, pair)
             if not verify_compatibility(asg, theta, tol=1e-9).passed:
                 bad_pass.append((m.a, m.b, theta, pair.as_tuple()))
-            perturbed = asg.with_values(FieldPair(pair.h + 0.1, pair.l))
+            perturbed = assign_fields(
+                depth3_tree, m, FieldLabel.PLUS_H, FieldPair(pair.h + 0.1, pair.l)
+            )
             if verify_compatibility(perturbed, theta, tol=1e-9).passed:
                 bad_fail.append((m.a, m.b, theta, pair.as_tuple()))
     ok = not bad_pass and not bad_fail
@@ -176,7 +178,7 @@ def test_a4_kolmogorov_consistency(solved_instances, depth3_tree):
             for n in (2, 3):
                 best = 0.0
                 for pert in (FieldPair(pair.h + 0.1, pair.l), FieldPair(pair.h, pair.l + 0.1)):
-                    asg_p = asg.with_values(pert)
+                    asg_p = assign_fields(depth3_tree, m, FieldLabel.PLUS_H, pert)
                     mu_n = finite_volume_measure(depth3_tree, asg_p, coupling, n)
                     mu_p = finite_volume_measure(depth3_tree, asg_p, coupling, n - 1)
                     best = max(best, check_kolmogorov(mu_n, mu_p).max_discrepancy)

@@ -384,6 +384,27 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    def test_reordered_or_padded_assignment_refused(self, capsys, tmp_path):
+        # behaviour change: an assignment file must be the exported text
+        # (trailing whitespace allowed); lines out of vertex order or a
+        # blank line among them are refused, where they used to be read
+        path = tmp_path / "assignment.txt"
+        depth1 = self.BASE[:-1] + ["1", "--solution-index", "7"]
+        _run(capsys, depth1 + ["--export-assignment", str(path)])
+        header, root, first, second = path.read_text().splitlines()
+        verify = ["verify", "--theta", "0.8", "--assignment", str(path)]
+        for lines in ([header, root, second, first, ""], [header, root, first, "", second]):
+            path.write_text("\n".join(lines) + "\n")
+            code = main(verify)
+            assert code == 2
+            assert "bad assignment file" in capsys.readouterr().err
+        path.write_text("\n".join([header, root, first, second]) + "\n\n  \n")
+        assert main(verify) == 0
+        path.write_bytes(b"k=2 n=1 h=1.0 l=0.0\n0\t-1\t+H\n\xff\n")
+        assert main(verify) == 2
+        path.write_text("k=10 n=7 h=0.5 l=0.0\n")
+        assert main(verify) == 5
+
     def test_small_volume_keeps_absolute_tolerances(self, capsys):
         # 15 sites, 8 of them outer: 2^8 summed terms stay under 1e-12
         _, out = _run(capsys, self.BASE + ["--solution-index", "7"])

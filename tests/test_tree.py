@@ -1,12 +1,16 @@
 """Tree construction, boundary assignment rules, compatibility checks and
 the serialization round trip."""
 
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from treegibbs import _exchange
 from treegibbs import (
     CapacityError,
+    CompatibilityReport,
     FieldLabel,
     FieldPair,
     SchemeMatrix,
@@ -14,9 +18,12 @@ from treegibbs import (
     build_tree,
     enumerate_schemes,
     export_assignment,
+    f_theta,
     numeric_field,
     parse_assignment,
+    reduce,
     solve_scalar,
+    solve_system,
     verify_compatibility,
 )
 
@@ -25,8 +32,69 @@ H_STAR_2_08 = 2.0634370688955605
 ORDER_SIX_MIXED = SchemeMatrix(k=6, a=(2, 1, 1, 2), b=(1, 1, 2, 2))
 
 
+# schemes of each order under which all four labels occur below the root
+MIXED = {
+    1: SchemeMatrix(k=1, a=(0, 0, 1, 0), b=(0, 1, 0, 0)),
+    2: SchemeMatrix(k=2, a=(1, 0, 0, 1), b=(0, 1, 1, 0)),
+    3: SchemeMatrix(k=3, a=(1, 1, 1, 0), b=(0, 1, 1, 1)),
+    7: SchemeMatrix(k=7, a=(2, 1, 3, 1), b=(1, 2, 1, 3)),
+    10: SchemeMatrix(k=10, a=(3, 2, 1, 4), b=(1, 4, 3, 2)),
+    12: SchemeMatrix(k=12, a=(4, 3, 2, 3), b=(2, 3, 4, 3)),
+}
+
+# the code layout: bit 0 set for L-type, bit 1 set for negative
+LABEL_OF_CODE = {
+    0: FieldLabel.PLUS_H,
+    1: FieldLabel.PLUS_L,
+    2: FieldLabel.MINUS_H,
+    3: FieldLabel.MINUS_L,
+}
+
+
 def _child_label_counter(asg, v):
     return Counter(asg.labels[c].value for c in asg.tree.children(v))
+
+
+def _canonical_block(m, lab):
+    row = m.a if lab.is_h_type else m.b
+    plus_h, plus_l = (FieldLabel.PLUS_H, FieldLabel.PLUS_L) if lab.sign > 0 else (
+        FieldLabel.MINUS_H, FieldLabel.MINUS_L)
+    return ([plus_h] * row[0] + [plus_h.negated()] * row[1]
+            + [plus_l] * row[2] + [plus_l.negated()] * row[3])
+
+
+def _literal_seeded_labels(tree, m, root, seed):
+    """Per-vertex reference of the seeded labelling: level by level, one
+    draw of 8 random bytes per child, and each vertex's canonical child
+    block ordered by its children's keys."""
+    rng = random.Random(seed)
+    labels = [root]
+    for level in range(tree.depth):
+        parents = labels[tree.level_offsets[level] : tree.level_offsets[level + 1]]
+        keys = np.frombuffer(rng.randbytes(8 * len(parents) * tree.k), dtype="<u8")
+        for i, lab in enumerate(parents):
+            block = _canonical_block(m, lab)
+            order = sorted(range(tree.k), key=lambda j: keys[i * tree.k + j])
+            labels.extend(block[j] for j in order)
+    return tuple(labels)
+
+
+def _literal_numeric_fields(asg):
+    h, l = asg.values.h, asg.values.l
+    value_of = {FieldLabel.PLUS_H: h, FieldLabel.MINUS_H: -h,
+                FieldLabel.PLUS_L: l, FieldLabel.MINUS_L: -l}
+    return np.array([value_of[lab] for lab in asg.labels], dtype=float)
+
+
+def _literal_export(asg):
+    tree = asg.tree
+    lines = [f"k={tree.k} n={tree.depth} h={asg.values.h!r} l={asg.values.l!r}"]
+    lines += [f"{v}\t{tree.parent(v)}\t{asg.labels[v].value}" for v in range(tree.num_vertices)]
+    return "\n".join(lines) + "\n"
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestBuildTree:
@@ -137,6 +205,57 @@ class TestAssignFields:
             want = {key: n for key, n in want.items() if n}
             assert _child_label_counter(shuffled, v) == want
 
+    @pytest.mark.parametrize("seed", [None, 5])
+    @pytest.mark.parametrize("k, depth", [(1, 9), (3, 4), (7, 2)])
+    def test_labels_agree_with_codes(self, k, depth, seed):
+        asg = assign_fields(build_tree(k, depth), MIXED[k], FieldLabel.MINUS_L,
+                            FieldPair(0.9, 0.4), seed=seed)
+        assert asg.codes.dtype == np.int8
+        assert asg.labels == tuple(LABEL_OF_CODE[c] for c in asg.codes.tolist())
+        assert all(asg.label_at(v) is asg.labels[v] for v in range(asg.tree.num_vertices))
+        assert asg.labels is asg.labels  # decoded once
+        with pytest.raises(ValueError):
+            asg.codes[0] = 1  # read-only
+
+    @pytest.mark.parametrize("k, depth, seed", [(2, 6, 0), (3, 4, 7), (7, 2, 123456789)])
+    def test_seeded_labelling_matches_reference(self, k, depth, seed):
+        # behaviour change: keys from random.Random(seed).randbytes order
+        # each child block, one level at a time; the per-vertex
+        # rng.shuffle of earlier versions gave another labelling
+        tree = build_tree(k, depth)
+        m = MIXED[k]
+        asg = assign_fields(tree, m, FieldLabel.PLUS_H, FieldPair(0.9, 0.4), seed=seed)
+        assert asg.labels == _literal_seeded_labels(tree, m, FieldLabel.PLUS_H, seed)
+        rng = random.Random(seed)
+        old = [FieldLabel.PLUS_H]
+        for v in range(tree.level_offsets[depth]):
+            block = _canonical_block(m, old[v])
+            rng.shuffle(block)
+            old.extend(block)
+        assert asg.labels != tuple(old)
+
+    def test_same_seed_same_labels(self):
+        tree = build_tree(6, 3)
+        values = FieldPair(1.0, 0.5)
+        first = assign_fields(tree, ORDER_SIX_MIXED, FieldLabel.MINUS_H, values, seed=42)
+        again = assign_fields(tree, ORDER_SIX_MIXED, FieldLabel.MINUS_H, values, seed=42)
+        other = assign_fields(tree, ORDER_SIX_MIXED, FieldLabel.MINUS_H, values, seed=43)
+        assert first.labels == again.labels
+        assert np.array_equal(first.codes, again.codes)
+        assert first.labels != other.labels
+
+    def test_seeded_shuffle_is_uniform(self):
+        # three distinct children: each of the 6 orders should come up
+        # 500 times in 3000 seeds (sd 20.4); the bounds are 4.9 sd wide
+        tree = build_tree(3, 1)
+        m = SchemeMatrix(k=3, a=(1, 1, 1, 0), b=(0, 0, 3, 0))
+        orders = Counter(
+            assign_fields(tree, m, FieldLabel.PLUS_H, FieldPair(0.9, 0.4), seed=s).labels[1:]
+            for s in range(3000)
+        )
+        assert len(orders) == 6
+        assert all(400 < n < 600 for n in orders.values())
+
     def test_interface_scheme_has_interfaces_at_every_level(self):
         # two-valued interface pattern: some child always flips sign, so
         # every level below the root contains a sign change from the parent
@@ -171,6 +290,20 @@ class TestNumericField:
         asg = assign_fields(tree, ORDER_SIX_MIXED, FieldLabel.MINUS_L, FieldPair(0.0, 0.0))
         assert all(numeric_field(asg, v) == 0.0 for v in range(tree.num_vertices))
 
+    @pytest.mark.parametrize("seed", [None, 3])
+    @pytest.mark.parametrize("values", [FieldPair(0.9, -0.35), FieldPair(0.0, 0.6),
+                                        FieldPair(0.7, 0.0), FieldPair(0.0, 0.0)])
+    def test_matches_literal_bitwise(self, values, seed):
+        asg = assign_fields(build_tree(3, 4), MIXED[3], FieldLabel.MINUS_H, values, seed=seed)
+        fields = asg.numeric_fields()
+        assert _bitwise_equal(fields, _literal_numeric_fields(asg))
+        # a zero field keeps its sign on negative labels
+        negative = np.array([lab.sign < 0 for lab in asg.labels])
+        for value, h_type in ((values.h, True), (values.l, False)):
+            if value == 0.0:
+                mask = negative & np.array([lab.is_h_type is h_type for lab in asg.labels])
+                assert mask.any() and np.signbit(fields[mask]).all()
+
     def test_unknown_vertex(self):
         tree = build_tree(2, 1)
         m = SchemeMatrix(k=2, a=(2, 0, 0, 0), b=(0, 0, 2, 0))
@@ -202,12 +335,85 @@ class TestVerifyCompatibility:
         assert not report.passed
         assert report.max_residual > 1e-3
 
+    @pytest.mark.parametrize("seed", [None, 17])
+    @pytest.mark.parametrize("k, depth", [(1, 6), (2, 6), (3, 4), (7, 2), (10, 2), (12, 2)])
+    def test_matches_literal_formula_bitwise(self, k, depth, seed):
+        # f_theta on every vertex field, children summed by reshape: the
+        # report must agree to the last bit, for solved and moved pairs
+        # (at k=12 a child-by-child sum would move the worst residual)
+        tree = build_tree(k, depth)
+        m = MIXED[k]
+        theta = 0.83
+        pairs = [p for p in solve_system(reduce(m), theta) if p.h != 0.0 and p.l != 0.0]
+        for pair in pairs[:2] + [FieldPair(0.61, -0.27)]:
+            for root in FieldLabel:
+                asg = assign_fields(tree, m, root, pair, seed=seed)
+                vals = _literal_numeric_fields(asg)
+                n_internal = tree.level_offsets[depth]
+                sums = f_theta(theta, vals)[1:].reshape(n_internal, k).sum(axis=1)
+                residuals = np.abs(vals[:n_internal] - sums)
+                worst = int(np.argmax(residuals))
+                expected = CompatibilityReport(
+                    float(residuals[worst]), worst, bool(residuals[worst] < 1e-9), 1e-9
+                )
+                report = verify_compatibility(asg, theta)
+                assert report == expected
+                assert report.max_residual.hex() == expected.max_residual.hex()
+
     def test_depth_zero_rejected(self):
         tree = build_tree(2, 0)
         m = SchemeMatrix(k=2, a=(2, 0, 0, 0), b=(0, 0, 2, 0))
         asg = assign_fields(tree, m, FieldLabel.PLUS_H, FieldPair(1.0, 0.0))
         with pytest.raises(ValueError):
             verify_compatibility(asg, 0.8)
+
+
+def _small_assignment():
+    return assign_fields(build_tree(3, 2), MIXED[3], FieldLabel.PLUS_H, FieldPair(1.0, 0.5))
+
+
+def _mutated_texts():
+    """Exported text of a 13-vertex tree, each time with one fault."""
+    text = export_assignment(_small_assignment())
+    header, *body = text.splitlines()
+    line = {int(ln.split("\t")[0]): ln for ln in body}
+
+    def joined(lines):
+        return "\n".join([header] + lines) + "\n"
+
+    def replaced(v, new):
+        return joined([new if i == v else line[i] for i in range(13)])
+
+    return {
+        "wrong parent": replaced(5, "5\t2\t" + line[5].split("\t")[2]),
+        "swapped lines": joined([line[i] for i in (0, 1, 2, 3, 5, 4, 6, 7, 8, 9, 10, 11, 12)]),
+        "duplicated line": joined([line[i] for i in range(13)] + [line[12]]),
+        "duplicate in place": replaced(7, line[6]),
+        "missing line": joined([line[i] for i in range(13) if i != 8]),
+        "missing last line": joined([line[i] for i in range(12)]),
+        "no final newline": text[:-1],
+        "blank line": joined([line[i] for i in range(7)] + [""] + [line[i] for i in range(7, 13)]),
+        "label +X": replaced(9, "9\t2\t+X"),
+        "label in lower case": replaced(9, "9\t2\t+h"),
+        "space for tab": replaced(9, line[9].replace("\t", " ", 1)),
+        "zero-padded vertex": replaced(9, "0" + line[9]),
+        "CRLF line end": text.replace("\n", "\r\n", 2),
+        "trailing garbage": text + "13\t4\t+H\n",
+        "trailing text": text + "x",
+        "non-ASCII digit": replaced(3, "\u0663" + line[3][1:]),
+        "non-ASCII label": replaced(3, line[3][:-1] + "\u0124"),
+        "header deeper than body": text.replace("n=2", "n=3", 1),
+        "header shallower than body": text.replace("n=2", "n=1", 1),
+        "header of another order": text.replace("k=3", "k=2", 1),
+        "header keys reordered": text.replace("k=3 n=2", "n=2 k=3", 1),
+        "header spacing": text.replace("k=3 n=2", "k=3  n=2", 1),
+        "header float spelling": text.replace("h=1.0", "h=1.00", 1),
+        "header only": header + "\n",
+        "empty": "",
+    }
+
+
+MUTATIONS = _mutated_texts()
 
 
 class TestSerialization:
@@ -237,3 +443,54 @@ class TestSerialization:
             parse_assignment("\n".join(text.splitlines()[:-1]))
         with pytest.raises(ValueError):
             parse_assignment("")
+
+    @pytest.mark.parametrize(
+        "k, depth, seed",
+        [
+            (2, 0, None),  # the root line alone
+            (1, 0, None),
+            (1, 120, None),  # vertex and parent cross 9/10 and 99/100
+            (2, 7, None),  # parent widths change at 21 and 201
+            (3, 5, None),  # ... at 31 and 301
+            (7, 3, None),  # ... at 71
+            (10, 5, None),  # 111,111 vertices: 6-digit vertices, 5-digit parents
+            (3, 5, 11),
+            (2, 7, 3),
+        ],
+    )
+    def test_export_matches_literal_writer(self, k, depth, seed):
+        asg = assign_fields(build_tree(k, depth), MIXED[k], FieldLabel.PLUS_L,
+                            FieldPair(0.8, -0.45), seed=seed)
+        text = export_assignment(asg)
+        assert text == _literal_export(asg)
+        back = parse_assignment(text)
+        assert np.array_equal(back.codes, asg.codes) and back.values == asg.values
+
+    @pytest.mark.parametrize("shift, step", [(0, 1), (1, 3), (1, 1000)])
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_digit_groups_match_decimal(self, width, shift, step):
+        # the digit columns of (v - shift) // step, v a vertex and
+        # (v - 1) // k its parent, at every width up to 8 digits (7 and 8
+        # only occur in trees built with a raised vertex cap); from 5
+        # digits on the low group of four wraps past a multiple of 10^4
+        lo = 10 ** (width - 1) + (9990 if width >= 5 else 0)
+        hi = min(lo + 40, 10**width)
+        start, stop = lo * step + shift, (hi - 1) * step + shift + 1
+        rows = np.zeros((stop - start, width), dtype=np.uint8)
+        for col, values in _exchange._digit_fields(start, stop, shift, step, width, 0):
+            rows[:, col : col + values.itemsize].view(values.dtype)[:, 0] = values
+        expected = [f"{(v - shift) // step}".encode() for v in range(start, stop)]
+        assert [row.tobytes() for row in rows] == expected
+
+    def test_trailing_whitespace_allowed(self):
+        text = export_assignment(_small_assignment())
+        assert parse_assignment(text + "\n \t\n\n").labels == _small_assignment().labels
+
+    @pytest.mark.parametrize("case", sorted(MUTATIONS))
+    def test_parse_rejects(self, case):
+        with pytest.raises(ValueError):
+            parse_assignment(MUTATIONS[case])
+
+    def test_header_over_cap_is_capacity_error(self):
+        with pytest.raises(CapacityError):
+            parse_assignment("k=10 n=7 h=0.5 l=0.0\n")
