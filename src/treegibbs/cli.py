@@ -102,7 +102,7 @@ def _parse_theta(text: str, require_nonzero: bool = True) -> float:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    int_keys = {"grid_points", "max_iter"}
+    int_keys = {"grid_points"}
     float_keys = {"scan_hi", "bisect_tol", "residual_tol", "dedup_tol"}
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -359,10 +359,13 @@ def _cmd_verify(args) -> int:
             )
         chosen = solutions.solutions[args.solution_index]
         if args.override_h is not None or args.override_l is not None:
-            chosen = FieldPair(
-                chosen.h if args.override_h is None else args.override_h,
-                chosen.l if args.override_l is None else args.override_l,
-            )
+            try:
+                chosen = FieldPair(
+                    chosen.h if args.override_h is None else args.override_h,
+                    chosen.l if args.override_l is None else args.override_l,
+                )
+            except ValueError as exc:
+                raise _MatrixError(f"bad override: {exc}") from exc
         root_label = FieldLabel(args.root_label)
         assignment = assign_fields(tree, m, root_label, chosen)
     # the oracle cap is what limits depth here, surfaced as exit 5

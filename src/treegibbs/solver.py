@@ -3,11 +3,15 @@
     h = a f_theta(h) + b f_theta(l)
     l = c f_theta(h) + d f_theta(l)
 
-split into the four classical case reductions on (a = 0?, b = 0?), with a
-grid-scan + bisection root isolator underneath.  With b != 0 and c = 0 the
+solved along one of two equation shapes.  With b = 0 the first equation
+decouples: each root of h = a f_theta(h) leaves a shifted scalar equation
+in l (a = 0 forces h = 0).  With b != 0 the first equation gives
+f_theta(l) = (h - a f_theta(h))/b, the second then gives l = phi(h), and
+the first closes as one scalar equation in h.  With b != 0 and c = 0 the
 transposed system (d, 0, b, a) is solved instead, so that l decouples.
-Every returned pair is verified against both equations; the solution set
-always contains (0, 0) and is closed under (h, l) -> (-h, -l).
+A grid-scan + bisection root isolator sits underneath.  Every returned
+pair is verified against both equations; the solution set always contains
+(0, 0) and is closed under (h, l) -> (-h, -l).
 
 The isolator only finds sign-change-separated roots: a tangential root is
 found only when a grid point lands essentially on top of it.  The scan
@@ -53,14 +57,14 @@ class SolverConfig:
     ``[0, scan_hi]`` where only nonnegative roots are sought);
     ``scan_hi = None`` derives the window from the a-priori bound of the
     instance being solved, and a set ``scan_hi`` below that bound makes the
-    solve raise ``ValueError``."""
+    solve raise ``ValueError``.  Bisection stops at ``bisect_tol`` or when
+    the midpoint no longer lies strictly inside its bracket."""
 
     scan_hi: Optional[float] = None
     grid_points: int = 4096
     bisect_tol: float = 1e-12
     residual_tol: float = 1e-9
     dedup_tol: float = 1e-7
-    max_iter: int = 128
 
     def __post_init__(self):
         if self.grid_points < 64:
@@ -70,8 +74,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
         if self.scan_hi is not None and not self.scan_hi > 0.0:
             raise ValueError(f"scan_hi must be positive, got {self.scan_hi}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
 
 
 def _scan_hi(cfg: SolverConfig, bound: float) -> float:
@@ -90,16 +92,11 @@ def _scan_hi(cfg: SolverConfig, bound: float) -> float:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Deduplicated solutions of one instance, sorted by (h, l).
-
-    ``grid_points`` records the scan density: the set is complete up to
-    roots the grid cannot separate, never beyond.
-    """
+    """Deduplicated solutions of one instance, sorted by (h, l), with the
+    solve's warnings.  The set is complete up to roots the scan grid of the
+    ``SolverConfig`` cannot separate, never beyond."""
 
     solutions: tuple[FieldPair, ...]
-    residual_tol: float
-    dedup_tol: float
-    grid_points: int
     warnings: tuple[str, ...] = ()
 
     def __len__(self) -> int:
@@ -138,7 +135,7 @@ def _bisect(fn, lo: float, hi: float, flo: float, fhi: float, cfg: SolverConfig)
     The polish pushes the root to float-limited accuracy, which the exact
     finite-volume checks (run at 1e-12) rely on downstream.
     """
-    for _ in range(cfg.max_iter):
+    while True:
         mid = 0.5 * (lo + hi)
         if (hi - lo) <= cfg.bisect_tol or mid <= lo or mid >= hi:
             break
@@ -181,7 +178,7 @@ def _grid(fn, lo: float, hi: float, cfg: SolverConfig) -> tuple[np.ndarray, np.n
     xs = np.linspace(lo, hi, cfg.grid_points + 1)
     ys = np.asarray(fn(xs), dtype=float)
     if ys.shape != xs.shape:
-        ys = np.array([fn(float(x)) for x in xs], dtype=float)
+        raise ValueError(f"fn returned shape {ys.shape} on a grid of shape {xs.shape}")
     return xs, ys
 
 
@@ -257,21 +254,6 @@ def solve_scalar(m: int, theta: float, cfg: SolverConfig | None = None) -> list[
     return _dedup_sorted(roots, cfg.dedup_tol)
 
 
-def _scalar_roots_signed(coef: int, theta: float, cfg: SolverConfig) -> list[float]:
-    """Roots of ``x = coef * f_theta(x)`` for any integer coef and any
-    nonzero theta in (-1, 1).
-
-    For coef = 0, or an effective slope coef * theta <= 0, the only root
-    is 0 (x and coef * f_theta(x) then have opposite signs for x != 0).
-    """
-    if coef == 0:
-        return [0.0]
-    theta_eff = theta if coef > 0 else -theta
-    if theta_eff <= 0.0:
-        return [0.0]
-    return solve_scalar(abs(coef), theta_eff, cfg)
-
-
 # ---------------------------------------------------------------------------
 # Case solvers
 # ---------------------------------------------------------------------------
@@ -341,48 +323,18 @@ def _shifted_scalar_roots(
     return _dedup_sorted(roots, cfg.dedup_tol), warnings
 
 
-def _case_a0_b0(r: ReducedParams, theta: float, cfg: SolverConfig):
-    # h = 0 forced; l = d f_theta(l).
-    pairs = [FieldPair(0.0, float(l)) for l in _scalar_roots_signed(r.d, theta, cfg)]
-    return pairs, []
-
-
-def _case_a0(r: ReducedParams, theta: float, cfg: SolverConfig):
-    # h = b f_theta(l); l = g(l) = c f_theta(b f_theta(l)) + d f_theta(l).
-    b, c, d = r.b, r.c, r.d
-    bound = _scan_hi(cfg, (abs(c) + abs(d)) * arctanh(abs(theta)))
-
-    def g_residual(x):
-        return x - c * f_theta(theta, b * f_theta(theta, x)) - d * f_theta(theta, x)
-
-    pos = [x for x in find_roots_1d(g_residual, 0.0, bound, cfg) if x > 0.0]
-    slope0 = (b * c) * theta * theta + d * theta
-    if slope0 > 1.0 and not pos:
-        x_neg = _bracket_below(g_residual, bound)
-        if x_neg is not None:
-            pos.append(
-                _bisect(g_residual, x_neg, bound, g_residual(x_neg), g_residual(bound), cfg)
-            )
-    pairs = [FieldPair(0.0, 0.0)]
-    for l_root in pos:
-        h_root = b * f_theta(theta, l_root)
-        pairs.append(FieldPair(h_root, l_root))
-        pairs.append(FieldPair(-h_root, -l_root))
-    return pairs, []
-
-
 def _case_b0(r: ReducedParams, theta: float, cfg: SolverConfig):
-    # h = a f_theta(h) decouples; each h-branch leaves l = (c/a) h + d f_theta(l).
+    # h = a f_theta(h) decouples (only h = 0 when a <= 0); each h-branch
+    # leaves l = (c/a) h + d f_theta(l).
     a, c, d = r.a, r.c, r.d
     warnings: list[str] = []
     pairs: list[FieldPair] = []
-    for h_root in _scalar_roots_signed(a, theta, cfg):
+    for h_root in solve_scalar(a, theta, cfg) if a > 0 else [0.0]:
         if h_root < 0.0:
             continue  # mirrored below
         if h_root == 0.0:
-            pairs.extend(
-                FieldPair(0.0, float(l)) for l in _scalar_roots_signed(d, theta, cfg)
-            )
+            l_roots = solve_scalar(d, theta, cfg) if d > 0 else [0.0]
+            pairs.extend(FieldPair(0.0, float(l)) for l in l_roots)
             continue
         t = (c / a) * h_root  # equals c * f_theta(h_root) on the solved branch
         l_roots, warn = _shifted_scalar_roots(d, t, theta, cfg)
@@ -396,7 +348,7 @@ def _case_b0(r: ReducedParams, theta: float, cfg: SolverConfig):
 def _case_general(r: ReducedParams, theta: float, cfg: SolverConfig):
     # Substitute f_theta(l) = (h - a f_theta(h))/b into the second equation:
     # l = phi(h) = [(bc - ad) f_theta(h) + d h]/b, then close the first as
-    # h = a f_theta(h) + b f_theta(phi(h)).
+    # h = a f_theta(h) + b f_theta(phi(h)).  Needs only b != 0; a may be 0.
     a, b, c, d = r.abcd
     det = b * c - a * d
     bound = _scan_hi(cfg, (abs(a) + abs(b)) * arctanh(abs(theta)))
@@ -455,13 +407,7 @@ def _assemble(
     if dropped:
         notes.append(f"dropped {dropped} candidate root(s) failing the residual check")
     kept.sort(key=lambda p: (p.h, p.l))
-    return SolutionSet(
-        solutions=tuple(kept),
-        residual_tol=cfg.residual_tol,
-        dedup_tol=cfg.dedup_tol,
-        grid_points=cfg.grid_points,
-        warnings=tuple(notes),
-    )
+    return SolutionSet(solutions=tuple(kept), warnings=tuple(notes))
 
 
 def solve_system(r: ReducedParams, theta: float, cfg: SolverConfig | None = None) -> SolutionSet:
@@ -479,11 +425,7 @@ def solve_system(r: ReducedParams, theta: float, cfg: SolverConfig | None = None
         r_eff, theta_eff = r.negated(), -theta
     else:
         r_eff, theta_eff = r, theta
-    if r_eff.a == 0 and r_eff.b == 0:
-        pairs, warns = _case_a0_b0(r_eff, theta_eff, cfg)
-    elif r_eff.a == 0:
-        pairs, warns = _case_a0(r_eff, theta_eff, cfg)
-    elif r_eff.b == 0:
+    if r_eff.b == 0:
         pairs, warns = _case_b0(r_eff, theta_eff, cfg)
     elif r_eff.c == 0:
         # Swapping h and l maps (a, b, c, d) to (d, c, b, a): solve the

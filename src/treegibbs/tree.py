@@ -22,6 +22,7 @@ decoded from it on first access, for callers that want enum members.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -134,7 +135,10 @@ class BoundaryAssignment:
     @functools.cached_property
     def labels(self) -> tuple[FieldLabel, ...]:
         """The labels of all vertices, in index order."""
-        return tuple(map(_BY_CODE.__getitem__, self.codes.tolist()))
+        codes = self.codes.tolist()
+        if len(codes) == 1:  # itemgetter of one index returns the bare item
+            return (_BY_CODE[codes[0]],)
+        return operator.itemgetter(*codes)(_BY_CODE)
 
     def label_at(self, v: int) -> FieldLabel:
         if not (0 <= v < self.tree.num_vertices):

@@ -142,6 +142,18 @@ class TestShortScanWindow:
         assert code == 2
         assert out == ""
 
+    def test_max_iter_key_is_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "iter.cfg"
+        cfg.write_text("max_iter = 128\n", encoding="utf-8")
+        code = main(
+            ["solve", "--k", "4", "--a", "4,0,0,0", "--b", "4,0,0,0", "--theta", "0.8",
+             "--config", str(cfg)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unknown config key 'max_iter'" in captured.err
+
 
 class TestClassify:
     def test_family_json(self, capsys):
@@ -358,6 +370,15 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["pass"] is False
         assert code == 1
+
+    @pytest.mark.parametrize("flag", ["--override-h", "--override-l"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_override_exit_2(self, capsys, flag, value):
+        code = main(self.BASE + ["--solution-index", "7", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad override: field pair must be finite")
 
     def test_capacity_exit_5(self, capsys):
         code, _ = _run(capsys, self.BASE[:-1] + ["4", "--solution-index", "7"])

@@ -1,5 +1,6 @@
-"""Root isolation: scalar pitchfork, the four case reductions, residuals,
-negation closure and the signed sufficiency of the multiplicity criterion."""
+"""Root isolation: scalar pitchfork, the paper's four cases on (a = 0?,
+b = 0?) through the solver's two equation shapes, residuals, negation
+closure and the signed sufficiency of the multiplicity criterion."""
 
 import math
 
@@ -44,6 +45,12 @@ class TestFindRoots1D:
 
     def test_no_real_root(self):
         assert find_roots_1d(lambda x: x * x + 1.0, -1.0, 1.0) == []
+
+    def test_scalar_valued_fn_refused(self):
+        # the grid is evaluated in one array call; a function that returns
+        # one number for the whole grid is an error, not a per-point retry
+        with pytest.raises(ValueError, match="shape"):
+            find_roots_1d(lambda x: float(np.sum(x)), -1.0, 1.0)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
@@ -144,6 +151,58 @@ class TestCaseA0:
         sols = solve_system(ReducedParams(0, 2, 2, 0, 2), 0.6)
         tuples = set(_pairs(sols))
         assert all((-h, -l) in tuples for (h, l) in tuples)
+
+
+class TestCaseA0Reference:
+    """With a = 0 and b != 0 the closed solver runs with a = 0.  It must
+    agree with the l-closed formulation l = c f(b f(l)) + d f(l),
+    h = b f(l), written here on its own kernel."""
+
+    @staticmethod
+    def _l_closed(r, theta, cfg):
+        if theta < 0.0:
+            r, theta = r.negated(), -theta
+        b, c, d = r.b, r.c, r.d
+
+        def f(x):
+            if isinstance(x, np.ndarray):
+                return np.arctanh(theta * np.tanh(x))
+            return math.atanh(theta * math.tanh(x))
+
+        def g(x):
+            return x - c * f(b * f(x)) - d * f(x)
+
+        # g is odd: scan l > 0 and mirror
+        hi = (abs(c) + abs(d)) * math.atanh(theta) + 0.5
+        pos = [x for x in find_roots_1d(g, 0.0, hi, cfg) if x >= cfg.dedup_tol]
+        pairs = [(0.0, 0.0)]
+        for x in pos:
+            h = float(b * f(x))
+            pairs += [(h, x), (-h, -x)]
+        return pairs
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_l_closed_formulation(self, k):
+        # (r, -theta) is the system (-r, theta), so taking b > 0 at both
+        # signs of theta covers every a = 0, b != 0 system once; the k = 1
+        # systems are among the k = 3 ones, at a subset of its thetas
+        cfg = SolverConfig()
+        thetas = TestTranspose._thetas(k)
+        checked = 0
+        for r in realizable_reduced(k):
+            if r.a != 0 or r.b <= 0:
+                continue
+            for theta in thetas + [-t for t in thetas]:
+                sols = solve_system(r, theta, cfg)
+                want = self._l_closed(r, theta, cfg)
+                assert len(sols) == len(want), (r.abcd, theta)
+                for p in sols:
+                    assert any(
+                        abs(p.h - h) < cfg.dedup_tol and abs(p.l - l) < cfg.dedup_tol
+                        for h, l in want
+                    ), (r.abcd, theta, p)
+                checked += 1
+        assert checked > 0
 
 
 class TestCaseB0:

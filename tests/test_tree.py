@@ -166,22 +166,26 @@ class TestAssignFields:
         # for every scheme, every root label, depth up to 4
         depth = 4 if k <= 3 else 3
         tree = build_tree(k, depth)
+        internal = tree.level_offsets[depth]
         values = FieldPair(0.9, 0.4)
         for m in enumerate_schemes(k):
+            # want[p, c]: children with label code c under a parent of code p
+            want = np.zeros((4, 4), dtype=np.int64)
+            for p, lab in LABEL_OF_CODE.items():
+                row = m.a if lab.is_h_type else m.b
+                s = lab.sign
+                counts = {
+                    _label_value(True, s): row[0],
+                    _label_value(True, -s): row[1],
+                    _label_value(False, s): row[2],
+                    _label_value(False, -s): row[3],
+                }
+                want[p] = [counts[LABEL_OF_CODE[c].value] for c in range(4)]
             for root in FieldLabel:
                 asg = assign_fields(tree, m, root, values)
-                for v in range(tree.level_offsets[depth]):
-                    lab = asg.labels[v]
-                    row = m.a if lab.is_h_type else m.b
-                    s = lab.sign
-                    want = {
-                        _label_value(True, s): row[0],
-                        _label_value(True, -s): row[1],
-                        _label_value(False, s): row[2],
-                        _label_value(False, -s): row[3],
-                    }
-                    want = {key: n for key, n in want.items() if n}
-                    assert _child_label_counter(asg, v) == want
+                children = asg.codes[1 : internal * k + 1].reshape(internal, k)
+                got = (children[:, :, None] == np.arange(4)).sum(axis=1)
+                assert np.array_equal(got, want[asg.codes[:internal]]), (m, root)
 
     def test_seeded_permutation_keeps_multisets(self):
         # a shuffled assignment still realizes the scheme row of each
@@ -206,12 +210,16 @@ class TestAssignFields:
             assert _child_label_counter(shuffled, v) == want
 
     @pytest.mark.parametrize("seed", [None, 5])
-    @pytest.mark.parametrize("k, depth", [(1, 9), (3, 4), (7, 2)])
+    @pytest.mark.parametrize("k, depth", [(1, 9), (3, 4), (7, 2), (3, 0)])
     def test_labels_agree_with_codes(self, k, depth, seed):
         asg = assign_fields(build_tree(k, depth), MIXED[k], FieldLabel.MINUS_L,
                             FieldPair(0.9, 0.4), seed=seed)
         assert asg.codes.dtype == np.int8
-        assert asg.labels == tuple(LABEL_OF_CODE[c] for c in asg.codes.tolist())
+        assert type(asg.labels) is tuple
+        assert len(asg.labels) == asg.tree.num_vertices
+        assert all(
+            lab is LABEL_OF_CODE[c] for lab, c in zip(asg.labels, asg.codes.tolist())
+        )
         assert all(asg.label_at(v) is asg.labels[v] for v in range(asg.tree.num_vertices))
         assert asg.labels is asg.labels  # decoded once
         with pytest.raises(ValueError):
