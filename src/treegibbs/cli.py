@@ -21,7 +21,7 @@ from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 from .extremality import assess_solution
-from .kernels import Coupling
+from .kernels import ATANH_GUARD, Coupling
 from .oracle import check_kolmogorov, finite_volume_measure, root_marginal_ratio
 from .scheme import (
     SchemeMatrix,
@@ -48,6 +48,10 @@ EXIT_BAD_MATRIX = 2
 EXIT_BAD_THETA = 3
 EXIT_IO = 4
 EXIT_CAPACITY = 5
+
+# The kernels refuse arctanh(theta) from 1 - ATANH_GUARD on, so a theta
+# that close to +-1 is an input error, not a failed solve or check.
+THETA_LIMIT = 1.0 - ATANH_GUARD
 
 COMPAT_TOL = 1e-9
 ROOT_RATIO_TOL = 1e-10
@@ -92,8 +96,8 @@ def _parse_theta(text: str, require_nonzero: bool = True) -> float:
         theta = float(text)
     except ValueError as exc:
         raise _ThetaError(f"cannot parse theta {text!r}") from exc
-    if not math.isfinite(theta) or abs(theta) >= 1.0:
-        raise _ThetaError(f"theta must satisfy |theta| < 1, got {theta}")
+    if not math.isfinite(theta) or abs(theta) >= THETA_LIMIT:
+        raise _ThetaError(f"theta must satisfy |theta| < 1 - {ATANH_GUARD:g}, got {theta}")
     if require_nonzero and theta == 0.0:
         raise _ThetaError("theta must be nonzero")
     return theta
@@ -260,9 +264,10 @@ def _sweep_rows(payload) -> list[tuple[list[str], list[dict]]]:
 
 
 def _cmd_sweep(args) -> int:
-    if not (0.0 < args.theta_lo < args.theta_hi < 1.0):
+    if not (0.0 < args.theta_lo < args.theta_hi < THETA_LIMIT):
         raise _ThetaError(
-            f"need 0 < theta-lo < theta-hi < 1, got [{args.theta_lo}, {args.theta_hi}]"
+            f"need 0 < theta-lo < theta-hi < 1 - {ATANH_GUARD:g}, "
+            f"got [{args.theta_lo}, {args.theta_hi}]"
         )
     if args.steps < 2:
         raise _ThetaError("steps must be >= 2")

@@ -60,16 +60,42 @@ def f_theta(theta: float, h):
 
     Odd in both arguments, bounded by arctanh(|theta|), strictly increasing
     in ``h`` for ``theta > 0``.
+
+    The guard is checked on ``theta`` once: with ``|theta| < 1 - ATANH_GUARD``
+    every ``|theta * tanh(h)| <= |theta|`` is inside it, so the float path
+    evaluates ``arctanh``'s expression directly.  A ``theta`` inside the
+    guard, a 0-d array or a non-float64 array goes through the checked
+    ``arctanh``.
     """
     theta = _check_theta(theta)
+    checked = abs(theta) >= 1.0 - ATANH_GUARD
     if isinstance(h, np.ndarray):
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise ValueError("field argument must be finite")
-        return arctanh(theta * np.tanh(h))
+        x = np.tanh(h)
+        if checked or not isinstance(x, np.ndarray) or x.dtype != np.float64:
+            return arctanh(theta * x)
+        # sign(x) * (0.5 * log((1 + |x|) / (1 - |x|))) in three buffers
+        x *= theta
+        mag = np.abs(x)
+        den = 1.0 - mag
+        mag += 1.0
+        mag /= den
+        np.log(mag, out=mag)
+        mag *= 0.5
+        np.sign(x, out=x)
+        x *= mag
+        return x
     h = float(h)
     if not math.isfinite(h):
         raise ValueError(f"field argument must be finite, got {h!r}")
-    return arctanh(theta * math.tanh(h))
+    x = theta * math.tanh(h)
+    if checked:
+        return arctanh(x)
+    if x == 0.0:
+        return 0.0
+    mag = abs(x)
+    return math.copysign(0.5 * math.log((1.0 + mag) / (1.0 - mag)), x)
 
 
 def f_theta_prime(theta: float, h):

@@ -22,6 +22,7 @@ a root, not escape.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -171,11 +172,27 @@ def _dedup_sorted(values: Sequence[float], tol: float) -> list[float]:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_base(n: int) -> np.ndarray:
+    """0, 1, ..., n as read-only floats: the offsets of an n-cell grid."""
+    base = np.arange(n + 1, dtype=float)
+    base.flags.writeable = False
+    return base
+
+
 def _grid(fn, lo: float, hi: float, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """The scan grid on [lo, hi] and ``fn`` evaluated on it."""
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bad scan interval [{lo!r}, {hi!r}]")
-    xs = np.linspace(lo, hi, cfg.grid_points + 1)
+    n = cfg.grid_points
+    step = (hi - lo) / n
+    if step == 0.0:  # the one case where np.linspace scales differently
+        xs = np.linspace(lo, hi, n + 1)
+    else:
+        # np.linspace's own arithmetic, on a cached arange
+        xs = _grid_base(n) * step
+        xs += lo
+        xs[-1] = hi
     ys = np.asarray(fn(xs), dtype=float)
     if ys.shape != xs.shape:
         raise ValueError(f"fn returned shape {ys.shape} on a grid of shape {xs.shape}")
@@ -357,7 +374,8 @@ def _case_general(r: ReducedParams, theta: float, cfg: SolverConfig):
         return (det * f_theta(theta, h) + d * h) / b
 
     def psi_residual(h):
-        return h - a * f_theta(theta, h) - b * f_theta(theta, phi(h))
+        fh = f_theta(theta, h)  # one kernel call serves both terms
+        return h - a * fh - b * f_theta(theta, (det * fh + d * h) / b)
 
     pos = [x for x in find_roots_1d(psi_residual, 0.0, bound, cfg) if x > 0.0]
     slope0 = det * theta * theta + (a + d) * theta

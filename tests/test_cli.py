@@ -1,7 +1,9 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,10 @@ from treegibbs import ReducedParams, kappa_bound_generic, Coupling, solve_system
 from treegibbs.cli import _fmt, main
 
 H_STAR_2_08 = 2.0634370688955605
+
+# |theta| >= 1 - ATANH_GUARD: the smallest such float, a middle one and the
+# largest below 1
+GUARD_THETAS = ["0.999999999999999", "0.9999999999999994", "0.9999999999999999"]
 
 
 def _run(capsys, argv):
@@ -72,12 +78,27 @@ class TestSolve:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("theta", ["1.5", "0", "-1", "abc"])
+    # within ATANH_GUARD of +-1 the kernels refuse arctanh(theta), so the
+    # theta is the bad input, also where the solve needs no kernel call
+    @pytest.mark.parametrize(
+        "theta", ["1.5", "0", "-1", "abc"] + GUARD_THETAS + ["-" + t for t in GUARD_THETAS]
+    )
     def test_invalid_theta_exit_3(self, capsys, theta):
-        code, _ = _run(
-            capsys, ["solve", "--k", "2", "--a", "2,0,0,0", "--b", "2,0,0,0", "--theta", theta]
+        code = main(
+            ["solve", "--k", "2", "--a", "2,0,0,0", "--b", "2,0,0,0", "--theta", theta]
         )
+        captured = capsys.readouterr()
         assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_theta_below_guard_solves(self, capsys):
+        theta = repr(math.nextafter(1.0 - 1e-15, 0.0))
+        code, out = _run(
+            capsys, ["solve", "--k", "2", "--a", "2,0,0,0", "--b", "0,0,2,0", "--theta", theta]
+        )
+        assert code == 0
+        assert len(json.loads(out)["solutions"]) == 9
 
     def test_config_file_override(self, capsys, tmp_path):
         cfg = tmp_path / "solver.cfg"
@@ -330,6 +351,22 @@ class TestSweep:
         capsys.readouterr()
         assert code == 3
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("theta_hi", GUARD_THETAS)
+    def test_theta_hi_inside_guard_exit_3(self, capsys, tmp_path, jobs, theta_hi):
+        # the bound itself is refused, even where the last grid theta
+        # rounds below the guard (0.05..0.999999999999999 in 10 steps ends
+        # at 0.9999999999999989), and before any worker starts
+        out = tmp_path / "x.csv"
+        code = main(
+            ["sweep", "--k", "2", "--theta-lo", "0.05", "--theta-hi", theta_hi,
+             "--steps", "10", "--out", str(out), "--jobs", jobs]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: need 0 < theta-lo < theta-hi")
+        assert not out.exists()
+
     def test_instance_cap_exit_5(self, capsys, tmp_path):
         code = main(
             ["sweep", "--k", "2", "--theta-lo", "0.1", "--theta-hi", "0.9",
@@ -463,6 +500,36 @@ class TestVerify:
         assert payload["kolmogorov"]["pass"] is True
         assert code == 0
 
+    @pytest.mark.parametrize("theta", GUARD_THETAS + ["-" + t for t in GUARD_THETAS])
+    def test_theta_inside_guard_exit_3(self, capsys, theta):
+        argv = self.BASE[:self.BASE.index("--theta") + 1] + [theta, "--depth", "2"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: theta must satisfy")
+
     def test_solution_index_out_of_range(self, capsys):
         code, _ = _run(capsys, self.BASE + ["--solution-index", "40"])
         assert code == 2
+
+
+class TestSweepDigests:
+    """The 19-step sweep's CSV is byte-identical to the recorded digest
+    (k = 4 is checked in CI, as it is too slow here)."""
+
+    DIGESTS = dict(
+        line.split()
+        for line in (Path(__file__).parent / "data" / "sweep_digests.txt")
+        .read_text(encoding="utf-8").splitlines()
+        if line and not line.startswith("#")
+    )
+
+    @pytest.mark.parametrize("k", ["2", "3"])
+    def test_csv_digest(self, capsys, tmp_path, k):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--k", k, "--theta-lo", "0.05", "--theta-hi", "0.95",
+                     "--steps", "19", "--out", str(out), "--jobs", "1"])
+        capsys.readouterr()
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[k]

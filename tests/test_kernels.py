@@ -16,6 +16,7 @@ from treegibbs import (
     f_theta_prime,
     k_beta,
 )
+from treegibbs.kernels import ATANH_GUARD
 
 from mp_oracles import mp_f_theta
 
@@ -97,6 +98,82 @@ class TestFTheta:
     def test_h_domain(self, bad_h):
         with pytest.raises(ValueError):
             f_theta(0.5, bad_h)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestFThetaBits:
+    """``f_theta`` checks the guard on theta once and then evaluates
+    arctanh's expression itself; its bits must be the literal formula's."""
+
+    # just below the guard, where the unchecked path still applies
+    EDGE = math.nextafter(1.0 - ATANH_GUARD, 0.0)
+    THETAS = [s * t for t in (0.05, 0.3, 0.5, 0.8, 0.95, EDGE) for s in (1, -1)]
+    HS = [0.0, -0.0, 1e-300, -1e-300, 0.37, -2.5, 20.0, -20.0, 800.0, -800.0]
+
+    @staticmethod
+    def _literal_array(theta, hs):
+        x = theta * np.tanh(hs)
+        mag = np.abs(x)
+        return np.sign(x) * (0.5 * np.log((1.0 + mag) / (1.0 - mag)))
+
+    @staticmethod
+    def _literal_scalar(theta, h):
+        x = theta * math.tanh(h)
+        mag = abs(x)
+        sign = float((x > 0.0) - (x < 0.0))
+        return sign * (0.5 * math.log((1.0 + mag) / (1.0 - mag)))
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_array_bits_match_literal(self, theta):
+        hs = np.array(self.HS + list(np.linspace(-6.0, 6.0, 97)))
+        before = hs.copy()
+        got = f_theta(theta, hs)
+        np.testing.assert_array_equal(_bits(got), _bits(self._literal_array(theta, hs)))
+        np.testing.assert_array_equal(_bits(hs), _bits(before))  # input untouched
+
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("h", HS)
+    def test_scalar_bits_match_literal(self, theta, h):
+        got = f_theta(theta, h)
+        assert type(got) is float
+        assert _bits(got) == _bits(self._literal_scalar(theta, h))
+
+    def test_zero_d_array_gives_float(self):
+        for h in (np.array(0.3), np.array(-0.0)):
+            got = f_theta(0.5, h)
+            assert type(got) is float
+            assert _bits(got) == _bits(f_theta(0.5, float(h)))
+        # tanh runs in float32 here, the arctanh step in float
+        assert type(f_theta(0.5, np.array(0.3, dtype=np.float32))) is float
+
+    def test_shape_and_dtype_kept(self):
+        empty = f_theta(0.5, np.array([]))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        got = f_theta(0.5, grid)
+        assert got.shape == (3, 4)
+        np.testing.assert_array_equal(got.ravel(), f_theta(0.5, grid.ravel()))
+        single = f_theta(0.5, grid.astype(np.float32))
+        assert single.dtype == np.float32 and single.shape == (3, 4)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_array_raises(self, bad):
+        with pytest.raises(ValueError):
+            f_theta(0.5, np.array([0.1, bad]))
+
+    @pytest.mark.parametrize("theta", [1.0 - ATANH_GUARD, math.nextafter(1.0, 0.0)])
+    def test_theta_inside_guard_stays_checked(self, theta):
+        # tanh(20) rounds to 1, so theta * tanh(h) lands inside the guard
+        for h in (20.0, np.array([0.0, 20.0])):
+            with pytest.raises(ValueError):
+                f_theta(theta, h)
+            with pytest.raises(ValueError):
+                f_theta(-theta, h)
+        # a small |h| stays clear of the guard and is evaluated
+        assert f_theta(theta, 0.5) == arctanh(theta * math.tanh(0.5))
 
 
 class TestFThetaPrime:

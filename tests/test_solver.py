@@ -22,6 +22,7 @@ from treegibbs import (
     solve_system,
     system_residual,
 )
+from treegibbs import solver
 from treegibbs.solver import _shifted_scalar_roots
 
 from mp_oracles import mp_scalar_root, mp_shifted_gain
@@ -335,6 +336,57 @@ class TestScanWindow:
         r = ReducedParams(3, -1, 4, 0, 4)
         wide = solve_system(r, 0.8, SolverConfig(scan_hi=10.0))
         assert len(wide) == len(solve_system(r, 0.8)) == 5
+
+
+class TestWorkCounts:
+    """The closed residual evaluates the kernel once per field value: once at
+    h and once at phi(h), on the grid and in every bisection or polish step."""
+
+    @pytest.mark.parametrize("grid_points", [64, 4096])
+    @pytest.mark.parametrize(
+        "abcd, k, theta",
+        [((1, 1, 1, 1), 2, 0.8), ((1, 1, 1, -1), 2, 0.75), ((3, -1, 4, 0), 4, 0.8),
+         ((0, 2, 2, 0), 2, 0.6)],
+    )
+    def test_two_kernel_calls_per_residual(self, monkeypatch, grid_points, abcd, k, theta):
+        kernel_sizes = []
+        residual_evals = [0]
+        real_kernel, real_bisect = solver.f_theta, solver._bisect
+
+        def counted_kernel(theta, h):
+            kernel_sizes.append(h.size if isinstance(h, np.ndarray) else None)
+            return real_kernel(theta, h)
+
+        def counted_bisect(fn, *args):
+            def counted_fn(x):
+                residual_evals[0] += 1
+                return fn(x)
+            return real_bisect(counted_fn, *args)
+
+        monkeypatch.setattr(solver, "f_theta", counted_kernel)
+        monkeypatch.setattr(solver, "_bisect", counted_bisect)
+        pairs, _ = solver._case_general(
+            ReducedParams(*abcd, k), theta, SolverConfig(grid_points=grid_points)
+        )
+        positive_roots = (len(pairs) - 1) // 2
+        assert positive_roots > 0 and residual_evals[0] > 0
+        assert [n for n in kernel_sizes if n is not None] == [grid_points + 1] * 2
+        # each residual step makes two scalar calls; phi(h) makes one per root
+        assert kernel_sizes.count(None) == 2 * residual_evals[0] + positive_roots
+
+
+class TestGrid:
+    @pytest.mark.parametrize("grid_points", [64, 1000, 4096])
+    @pytest.mark.parametrize("hi", [1e-320, 1e-300, 1e-3, 3.7, 41.25, 1e300])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_matches_linspace_bits(self, grid_points, hi, symmetric):
+        lo = -hi if symmetric else 0.0
+        xs, ys = solver._grid(lambda x: x, lo, hi, SolverConfig(grid_points=grid_points))
+        expected = np.linspace(lo, hi, grid_points + 1)
+        np.testing.assert_array_equal(xs.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(
+            solver._grid_base(grid_points), np.arange(grid_points + 1, dtype=float)
+        )
 
 
 class TestSolveSystem:
