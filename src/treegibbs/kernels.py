@@ -37,11 +37,32 @@ def arctanh(x):
     if isinstance(x, np.ndarray):
         if not np.all(np.isfinite(x)) or np.any(np.abs(x) >= 1.0 - ATANH_GUARD):
             raise ValueError("arctanh argument must be finite with |x| < 1 - 1e-15")
-        mag = np.abs(x)
-        return np.sign(x) * (0.5 * np.log((1.0 + mag) / (1.0 - mag)))
+        # a fresh float buffer of at least one dimension for the in-place
+        # body: float32 stays float32, and a 0-d array gives a numpy scalar
+        buf = np.array(x, dtype=x.dtype if x.dtype.kind == "f" else float, ndmin=1)
+        return _arctanh_unchecked(buf).reshape(x.shape)[()]
     x = float(x)
     if not math.isfinite(x) or abs(x) >= 1.0 - ATANH_GUARD:
         raise ValueError(f"arctanh argument out of domain: {x!r}")
+    return _arctanh_unchecked(x)
+
+
+def _arctanh_unchecked(x):
+    """``arctanh``'s expression without its domain check.
+
+    A float array is overwritten with the result, so the caller must own it.
+    """
+    if isinstance(x, np.ndarray):
+        mag = np.abs(x)
+        den = 1.0 - mag
+        mag += 1.0
+        mag /= den
+        np.log(mag, out=mag)
+        mag *= 0.5
+        np.sign(x, out=x)
+        x *= mag
+        return x
+    x = float(x)
     if x == 0.0:
         return 0.0
     mag = abs(x)
@@ -62,40 +83,26 @@ def f_theta(theta: float, h):
     in ``h`` for ``theta > 0``.
 
     The guard is checked on ``theta`` once: with ``|theta| < 1 - ATANH_GUARD``
-    every ``|theta * tanh(h)| <= |theta|`` is inside it, so the float path
-    evaluates ``arctanh``'s expression directly.  A ``theta`` inside the
-    guard, a 0-d array or a non-float64 array goes through the checked
-    ``arctanh``.
+    every float64 ``|theta * tanh(h)| <= |theta|`` is inside it, so only a
+    ``theta`` inside the guard or an array of another float type goes
+    through the checked ``arctanh``.
     """
     theta = _check_theta(theta)
-    checked = abs(theta) >= 1.0 - ATANH_GUARD
+    inverse = _arctanh_unchecked if abs(theta) < 1.0 - ATANH_GUARD else arctanh
     if isinstance(h, np.ndarray):
         if not np.isfinite(h).all():
             raise ValueError("field argument must be finite")
-        x = np.tanh(h)
-        if checked or not isinstance(x, np.ndarray) or x.dtype != np.float64:
-            return arctanh(theta * x)
-        # sign(x) * (0.5 * log((1 + |x|) / (1 - |x|))) in three buffers
+        x = np.tanh(h)  # a fresh array, or a numpy scalar for a 0-d h
         x *= theta
-        mag = np.abs(x)
-        den = 1.0 - mag
-        mag += 1.0
-        mag /= den
-        np.log(mag, out=mag)
-        mag *= 0.5
-        np.sign(x, out=x)
-        x *= mag
-        return x
+        if x.dtype != np.float64:
+            # in fewer bits theta * tanh(h) rounds to +-1 for a theta near 1
+            # that is clear of the guard, so each element is checked
+            return arctanh(x)
+        return inverse(x)
     h = float(h)
     if not math.isfinite(h):
         raise ValueError(f"field argument must be finite, got {h!r}")
-    x = theta * math.tanh(h)
-    if checked:
-        return arctanh(x)
-    if x == 0.0:
-        return 0.0
-    mag = abs(x)
-    return math.copysign(0.5 * math.log((1.0 + mag) / (1.0 - mag)), x)
+    return inverse(theta * math.tanh(h))
 
 
 def f_theta_prime(theta: float, h):

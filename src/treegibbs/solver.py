@@ -22,7 +22,6 @@ a root, not escape.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -172,27 +171,11 @@ def _dedup_sorted(values: Sequence[float], tol: float) -> list[float]:
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_base(n: int) -> np.ndarray:
-    """0, 1, ..., n as read-only floats: the offsets of an n-cell grid."""
-    base = np.arange(n + 1, dtype=float)
-    base.flags.writeable = False
-    return base
-
-
 def _grid(fn, lo: float, hi: float, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """The scan grid on [lo, hi] and ``fn`` evaluated on it."""
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bad scan interval [{lo!r}, {hi!r}]")
-    n = cfg.grid_points
-    step = (hi - lo) / n
-    if step == 0.0:  # the one case where np.linspace scales differently
-        xs = np.linspace(lo, hi, n + 1)
-    else:
-        # np.linspace's own arithmetic, on a cached arange
-        xs = _grid_base(n) * step
-        xs += lo
-        xs[-1] = hi
+    xs = np.linspace(lo, hi, cfg.grid_points + 1)
     ys = np.asarray(fn(xs), dtype=float)
     if ys.shape != xs.shape:
         raise ValueError(f"fn returned shape {ys.shape} on a grid of shape {xs.shape}")

@@ -164,6 +164,13 @@ class TestFThetaBits:
         with pytest.raises(ValueError):
             f_theta(0.5, np.array([0.1, bad]))
 
+    def test_float32_near_one_stays_checked(self):
+        # EDGE is clear of the guard, but EDGE * tanh(20) rounds to 1 in float32
+        with pytest.raises(ValueError):
+            f_theta(self.EDGE, np.array([0.5, 20.0], dtype=np.float32))
+        with pytest.raises(ValueError):
+            f_theta(-self.EDGE, np.array(20.0, dtype=np.float32))
+
     @pytest.mark.parametrize("theta", [1.0 - ATANH_GUARD, math.nextafter(1.0, 0.0)])
     def test_theta_inside_guard_stays_checked(self, theta):
         # tanh(20) rounds to 1, so theta * tanh(h) lands inside the guard

@@ -384,9 +384,6 @@ class TestGrid:
         xs, ys = solver._grid(lambda x: x, lo, hi, SolverConfig(grid_points=grid_points))
         expected = np.linspace(lo, hi, grid_points + 1)
         np.testing.assert_array_equal(xs.view(np.uint64), expected.view(np.uint64))
-        np.testing.assert_array_equal(
-            solver._grid_base(grid_points), np.arange(grid_points + 1, dtype=float)
-        )
 
 
 class TestSolveSystem:
