@@ -21,7 +21,7 @@ from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 from .extremality import assess_solution
-from .kernels import ATANH_GUARD, Coupling
+from .kernels import Coupling, _check_theta
 from .oracle import check_kolmogorov, finite_volume_measure, root_marginal_ratio
 from .scheme import (
     SchemeMatrix,
@@ -48,10 +48,6 @@ EXIT_BAD_MATRIX = 2
 EXIT_BAD_THETA = 3
 EXIT_IO = 4
 EXIT_CAPACITY = 5
-
-# The kernels refuse arctanh(theta) from 1 - ATANH_GUARD on, so a theta
-# that close to +-1 is an input error, not a failed solve or check.
-THETA_LIMIT = 1.0 - ATANH_GUARD
 
 COMPAT_TOL = 1e-9
 ROOT_RATIO_TOL = 1e-10
@@ -91,14 +87,16 @@ def _scheme_from(k: int, a_text: str, b_text: str) -> SchemeMatrix:
         raise _MatrixError(str(exc)) from exc
 
 
-def _parse_theta(text: str, require_nonzero: bool = True) -> float:
+def _parse_theta(text: str) -> float:
     try:
         theta = float(text)
     except ValueError as exc:
         raise _ThetaError(f"cannot parse theta {text!r}") from exc
-    if not math.isfinite(theta) or abs(theta) >= THETA_LIMIT:
-        raise _ThetaError(f"theta must satisfy |theta| < 1 - {ATANH_GUARD:g}, got {theta}")
-    if require_nonzero and theta == 0.0:
+    try:
+        theta = _check_theta(theta)
+    except ValueError as exc:
+        raise _ThetaError(str(exc)) from exc
+    if theta == 0.0:
         raise _ThetaError("theta must be nonzero")
     return theta
 
@@ -107,7 +105,7 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     int_keys = {"grid_points"}
-    float_keys = {"scan_hi", "bisect_tol", "residual_tol", "dedup_tol"}
+    float_keys = {"bisect_tol", "residual_tol", "dedup_tol"}
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -135,8 +133,6 @@ def _solver_config(args) -> SolverConfig:
             if value is not None:
                 overrides[flag] = value
         return replace(cfg, **overrides) if overrides else cfg
-    except _MatrixError:
-        raise
     except ValueError as exc:
         raise _MatrixError(f"bad solver configuration: {exc}") from exc
 
@@ -152,15 +148,6 @@ def _solution_entries(r, theta, solutions) -> list[dict]:
     ]
 
 
-def _solve(r, theta: float, cfg: SolverConfig):
-    """``solve_system``, with a configuration the instance refuses (a scan
-    window short of its a-priori bound) reported as a bad configuration."""
-    try:
-        return solve_system(r, theta, cfg)
-    except ValueError as exc:
-        raise _MatrixError(f"bad solver configuration: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # solve / classify / enumerate
 # ---------------------------------------------------------------------------
@@ -171,7 +158,7 @@ def _cmd_solve(args) -> int:
     theta = _parse_theta(args.theta)
     cfg = _solver_config(args)
     r = reduce_scheme(m)
-    solutions = _solve(r, theta, cfg)
+    solutions = solve_system(r, theta, cfg)
     payload = {
         "reduced": {"a": r.a, "b": r.b, "c": r.c, "d": r.d},
         "criterion": nonuniqueness_criterion(r, theta),
@@ -235,7 +222,7 @@ def _sweep_rows(payload) -> list[tuple[list[str], list[dict]]]:
     r = reduce_scheme(schemes[0])
     out: list[tuple[list[str], list[dict]]] = [([], []) for _ in schemes]
     for theta in thetas:
-        solutions = _solve(r, theta, cfg)
+        solutions = solve_system(r, theta, cfg)
         pair = solutions.largest_nonnegative()
         report = assess_solution(k, Coupling.from_theta(theta), pair)
         head = [
@@ -264,10 +251,13 @@ def _sweep_rows(payload) -> list[tuple[list[str], list[dict]]]:
 
 
 def _cmd_sweep(args) -> int:
-    if not (0.0 < args.theta_lo < args.theta_hi < THETA_LIMIT):
+    try:
+        _check_theta(args.theta_hi)
+    except ValueError as exc:
+        raise _ThetaError(f"need 0 < theta-lo < theta-hi; theta-hi: {exc}") from exc
+    if not (0.0 < args.theta_lo < args.theta_hi):
         raise _ThetaError(
-            f"need 0 < theta-lo < theta-hi < 1 - {ATANH_GUARD:g}, "
-            f"got [{args.theta_lo}, {args.theta_hi}]"
+            f"need 0 < theta-lo < theta-hi, got [{args.theta_lo}, {args.theta_hi}]"
         )
     if args.steps < 2:
         raise _ThetaError("steps must be >= 2")
@@ -356,7 +346,7 @@ def _cmd_verify(args) -> int:
             raise _MatrixError("depth must be >= 1")
         tree = build_tree(args.k, n)
         r = reduce_scheme(m)
-        solutions = _solve(r, theta, _solver_config(args))
+        solutions = solve_system(r, theta, _solver_config(args))
         if not (0 <= args.solution_index < len(solutions)):
             raise _MatrixError(
                 f"solution index {args.solution_index} out of range "

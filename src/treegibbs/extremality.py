@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .kernels import Coupling, big_f, k_beta
+from .kernels import Coupling, _check_theta, big_f, k_beta
 from .scheme import SchemeMatrix
 from .solver import FieldPair, SolverConfig, solve_scalar
 
@@ -94,8 +94,9 @@ def kappa_bound_generic(coupling: Coupling, solution: FieldPair) -> float:
 
 def ti_field_root(k: int, theta: float) -> float:
     """Positive root h* of h = k f_theta(h) (requires theta > 1/k)."""
-    if k < 2 or not (0.0 < theta < 1.0):
-        raise ValueError(f"need k >= 2 and theta in (0, 1), got k={k}, theta={theta}")
+    theta = _check_theta(theta)
+    if k < 2 or not theta > 0.0:
+        raise ValueError(f"need k >= 2 and theta > 0, got k={k}, theta={theta}")
     if theta <= 1.0 / k:
         raise ValueError(f"h* exists only for theta > 1/k, got theta={theta}, k={k}")
     roots = solve_scalar(k, theta, SolverConfig())

@@ -70,9 +70,16 @@ def _arctanh_unchecked(x):
 
 
 def _check_theta(theta: float) -> float:
+    """The package's theta domain: finite with ``|theta| < 1 - ATANH_GUARD``.
+
+    Every entry point that takes theta calls this.  ``arctanh(theta)``
+    bounds every field, so a theta inside the guard is refused here, the
+    same way wherever it enters, rather than by whichever kernel call
+    happens to meet it.
+    """
     theta = float(theta)
-    if not math.isfinite(theta) or abs(theta) >= 1.0:
-        raise ValueError(f"theta must lie in (-1, 1), got {theta!r}")
+    if not math.isfinite(theta) or abs(theta) >= 1.0 - ATANH_GUARD:
+        raise ValueError(f"theta must satisfy |theta| < 1 - {ATANH_GUARD:g}, got {theta!r}")
     return theta
 
 
@@ -82,13 +89,12 @@ def f_theta(theta: float, h):
     Odd in both arguments, bounded by arctanh(|theta|), strictly increasing
     in ``h`` for ``theta > 0``.
 
-    The guard is checked on ``theta`` once: with ``|theta| < 1 - ATANH_GUARD``
-    every float64 ``|theta * tanh(h)| <= |theta|`` is inside it, so only a
-    ``theta`` inside the guard or an array of another float type goes
-    through the checked ``arctanh``.
+    ``theta`` is checked once, by ``_check_theta``: inside its domain every
+    float64 ``|theta * tanh(h)| <= |theta|`` is clear of the arctanh guard,
+    so only an array of another float type goes through the checked
+    ``arctanh``.
     """
     theta = _check_theta(theta)
-    inverse = _arctanh_unchecked if abs(theta) < 1.0 - ATANH_GUARD else arctanh
     if isinstance(h, np.ndarray):
         if not np.isfinite(h).all():
             raise ValueError("field argument must be finite")
@@ -98,11 +104,11 @@ def f_theta(theta: float, h):
             # in fewer bits theta * tanh(h) rounds to +-1 for a theta near 1
             # that is clear of the guard, so each element is checked
             return arctanh(x)
-        return inverse(x)
+        return _arctanh_unchecked(x)
     h = float(h)
     if not math.isfinite(h):
         raise ValueError(f"field argument must be finite, got {h!r}")
-    return inverse(theta * math.tanh(h))
+    return _arctanh_unchecked(theta * math.tanh(h))
 
 
 def f_theta_prime(theta: float, h):
@@ -137,8 +143,7 @@ class Coupling:
             raise ValueError("J and beta must be finite")
         if self.beta <= 0.0:
             raise ValueError(f"beta must be positive, got {self.beta!r}")
-        if abs(self.theta) >= 1.0:
-            raise ValueError(f"theta must lie in (-1, 1), got {self.theta!r}")
+        _check_theta(self.theta)
         expected = math.tanh(self.beta * self.J)
         scale = max(abs(expected), abs(self.theta), 1e-300)
         if abs(self.theta - expected) > 1e-14 * scale + 1e-300:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, TYPE_CHECKING
 
+from .kernels import _check_theta
+
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import FieldPair
 
@@ -131,10 +133,7 @@ def nonuniqueness_criterion(r: ReducedParams, theta: float) -> bool:
     multiple solutions, while values < -1 are not -- see
     :func:`criterion_value` and the solver test-suite counterexamples.
     """
-    theta = float(theta)
-    if abs(theta) >= 1.0:
-        raise ValueError(f"theta must lie in (-1, 1), got {theta!r}")
-    return abs(criterion_value(r, theta)) > 1.0
+    return abs(criterion_value(r, _check_theta(theta))) > 1.0
 
 
 class Family(Enum):

@@ -28,8 +28,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import arctanh, f_theta
-from .scheme import ReducedParams
+from .kernels import _check_theta, arctanh, f_theta
+from .scheme import ReducedParams, criterion_value
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,12 @@ class FieldPair:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Scan / tolerance knobs.  Scans cover ``[-scan_hi, scan_hi]`` (or
-    ``[0, scan_hi]`` where only nonnegative roots are sought);
-    ``scan_hi = None`` derives the window from the a-priori bound of the
-    instance being solved, and a set ``scan_hi`` below that bound makes the
-    solve raise ``ValueError``.  Bisection stops at ``bisect_tol`` or when
-    the midpoint no longer lies strictly inside its bracket."""
+    """Grid and tolerance knobs.  The scan window is not one of them: each
+    scan covers ``[-w, w]`` (or ``[0, w]`` where only nonnegative roots are
+    sought), with ``w`` the a-priori bound of the instance being solved plus
+    0.5, so no root can lie outside it.  Bisection stops at ``bisect_tol``
+    or when the midpoint no longer lies strictly inside its bracket."""
 
-    scan_hi: Optional[float] = None
     grid_points: int = 4096
     bisect_tol: float = 1e-12
     residual_tol: float = 1e-9
@@ -72,22 +70,10 @@ class SolverConfig:
         for name in ("bisect_tol", "residual_tol", "dedup_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.scan_hi is not None and not self.scan_hi > 0.0:
-            raise ValueError(f"scan_hi must be positive, got {self.scan_hi}")
 
 
-def _scan_hi(cfg: SolverConfig, bound: float) -> float:
-    """Upper end of the scan for roots with |x| <= ``bound``: the bound plus
-    a 0.5 margin by default.  A configured ``scan_hi`` below the bound would
-    silently lose roots, so it is refused."""
-    if cfg.scan_hi is None:
-        return bound + 0.5
-    if cfg.scan_hi < bound:
-        raise ValueError(
-            f"scan interval [-{cfg.scan_hi}, {cfg.scan_hi}] does not cover "
-            f"[-{bound}, {bound}]"
-        )
-    return cfg.scan_hi
+# distance by which every scan window extends past the a-priori bound
+_SCAN_MARGIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -234,11 +220,10 @@ def solve_scalar(m: int, theta: float, cfg: SolverConfig | None = None) -> list[
     cfg = cfg or SolverConfig()
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
-    theta = float(theta)
-    if not (0.0 < theta < 1.0):
-        raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
-    bound = m * arctanh(theta)
-    hi = _scan_hi(cfg, bound)
+    theta = _check_theta(theta)
+    if not theta > 0.0:
+        raise ValueError(f"theta must be positive, got {theta!r}")
+    hi = m * arctanh(theta) + _SCAN_MARGIN
 
     def fn(x):
         return x - m * f_theta(theta, x)
@@ -269,9 +254,9 @@ def max_shifted_gain(d: int, theta: float) -> float:
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d!r}")
-    theta = float(theta)
-    if not (0.0 < theta < 1.0):
-        raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
+    theta = _check_theta(theta)
+    if not theta > 0.0:
+        raise ValueError(f"theta must be positive, got {theta!r}")
     if d * theta <= 1.0:
         return 0.0
     t_sq = (d * theta - 1.0) / (d * theta - theta * theta)
@@ -290,7 +275,7 @@ def _shifted_scalar_roots(
     """
     if d == 0:
         return [t], []
-    bound = _scan_hi(cfg, abs(t) + abs(d) * arctanh(abs(theta)))
+    bound = abs(t) + abs(d) * arctanh(abs(theta)) + _SCAN_MARGIN
 
     def fn(x):
         return x - t - d * f_theta(theta, x)
@@ -351,7 +336,7 @@ def _case_general(r: ReducedParams, theta: float, cfg: SolverConfig):
     # h = a f_theta(h) + b f_theta(phi(h)).  Needs only b != 0; a may be 0.
     a, b, c, d = r.abcd
     det = b * c - a * d
-    bound = _scan_hi(cfg, (abs(a) + abs(b)) * arctanh(abs(theta)))
+    bound = (abs(a) + abs(b)) * arctanh(abs(theta)) + _SCAN_MARGIN
 
     def phi(h):
         return (det * f_theta(theta, h) + d * h) / b
@@ -361,8 +346,7 @@ def _case_general(r: ReducedParams, theta: float, cfg: SolverConfig):
         return h - a * fh - b * f_theta(theta, (det * fh + d * h) / b)
 
     pos = [x for x in find_roots_1d(psi_residual, 0.0, bound, cfg) if x > 0.0]
-    slope0 = det * theta * theta + (a + d) * theta
-    if slope0 > 1.0 and not pos:
+    if criterion_value(r, theta) > 1.0 and not pos:
         x_neg = _bracket_below(psi_residual, bound)
         if x_neg is not None:
             pos.append(
@@ -415,9 +399,7 @@ def solve_system(r: ReducedParams, theta: float, cfg: SolverConfig | None = None
     """All isolated solutions of the two-field system for reduced
     parameters ``r`` at the given theta."""
     cfg = cfg or SolverConfig()
-    theta = float(theta)
-    if abs(theta) >= 1.0:
-        raise ValueError(f"theta must lie in (-1, 1), got {theta!r}")
+    theta = _check_theta(theta)
     if theta == 0.0 or r.abcd == (0, 0, 0, 0):
         return _assemble([], [], r, theta, cfg)
     # Oddness in theta: the system for theta < 0 equals the system for

@@ -113,8 +113,9 @@ class TestSolve:
 
 
 class TestShortScanWindow:
-    """A config scan_hi below the instance's a-priori bound is a bad
-    configuration (exit 2), whichever case solver meets it."""
+    """The scan window is worked out from the instance's a-priori bound, so
+    ``scan_hi`` is now an unknown config key: a file that sets it, even
+    below the bound, is a bad configuration (exit 2) in every subcommand."""
 
     @pytest.fixture
     def short_cfg(self, tmp_path):
@@ -141,31 +142,12 @@ class TestShortScanWindow:
         capsys.readouterr()
         assert code == 2
 
-    @pytest.mark.parametrize("a", ["3,0,0,1", "4,0,0,0"])
-    def test_covering_scan_hi_alone_solves(self, capsys, tmp_path, a):
-        # scan_hi alone sets a symmetric window, in the scalar case too
-        cfg = tmp_path / "wide.cfg"
-        cfg.write_text("scan_hi = 10\n", encoding="utf-8")
-        argv = ["solve", "--k", "4", "--a", a, "--b", "4,0,0,0", "--theta", "0.8"]
-        code, out = _run(capsys, argv + ["--config", str(cfg)])
-        default_code, default_out = _run(capsys, argv)
-        assert code == default_code == 0
-        assert len(json.loads(out)["solutions"]) == len(json.loads(default_out)["solutions"])
-
-    def test_scan_lo_key_is_refused(self, capsys, tmp_path):
-        cfg = tmp_path / "lo.cfg"
-        cfg.write_text("scan_lo = -10\nscan_hi = 10\n", encoding="utf-8")
-        code, out = _run(
-            capsys,
-            ["solve", "--k", "4", "--a", "4,0,0,0", "--b", "4,0,0,0", "--theta", "0.8",
-             "--config", str(cfg)],
-        )
-        assert code == 2
-        assert out == ""
-
-    def test_max_iter_key_is_refused(self, capsys, tmp_path):
-        cfg = tmp_path / "iter.cfg"
-        cfg.write_text("max_iter = 128\n", encoding="utf-8")
+    @pytest.mark.parametrize(
+        "key,value", [("scan_lo", "-10"), ("max_iter", "128"), ("scan_hi", "10")]
+    )
+    def test_removed_key_is_refused(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "removed.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
         code = main(
             ["solve", "--k", "4", "--a", "4,0,0,0", "--b", "4,0,0,0", "--theta", "0.8",
              "--config", str(cfg)]
@@ -173,7 +155,7 @@ class TestShortScanWindow:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "unknown config key 'max_iter'" in captured.err
+        assert f"unknown config key {key!r}" in captured.err
 
 
 class TestClassify:

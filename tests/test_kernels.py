@@ -9,12 +9,18 @@ from hypothesis import given, strategies as st
 
 from treegibbs import (
     Coupling,
+    ReducedParams,
     arctanh,
     big_f,
     big_f_prime,
     f_theta,
     f_theta_prime,
     k_beta,
+    max_shifted_gain,
+    nonuniqueness_criterion,
+    solve_scalar,
+    solve_system,
+    ti_field_root,
 )
 from treegibbs.kernels import ATANH_GUARD
 
@@ -179,8 +185,59 @@ class TestFThetaBits:
                 f_theta(theta, h)
             with pytest.raises(ValueError):
                 f_theta(-theta, h)
-        # a small |h| stays clear of the guard and is evaluated
-        assert f_theta(theta, 0.5) == arctanh(theta * math.tanh(0.5))
+        # a small |h| stays clear of the guard, but theta itself is refused
+        with pytest.raises(ValueError):
+            f_theta(theta, 0.5)
+
+
+def _theta_calls(theta, beta):
+    """One call per entry point that takes theta.  Those defined for
+    theta > 0 only get ``|theta|``; the couplings get J = sign(theta) and
+    ``beta``."""
+    sign = math.copysign(1.0, theta)
+    pos = abs(theta)
+    return {
+        "f_theta": lambda: f_theta(theta, 0.5),
+        "f_theta_array": lambda: f_theta(theta, np.array([0.0, 0.5, 20.0])),
+        "f_theta_prime": lambda: f_theta_prime(theta, 0.5),
+        "from_theta": lambda: Coupling.from_theta(theta),
+        "from_interaction": lambda: Coupling.from_interaction(sign, beta),
+        "Coupling": lambda: Coupling(J=sign, beta=beta, theta=theta),
+        "solve_system_2002": lambda: solve_system(ReducedParams(2, 0, 0, 2, 2), theta),
+        "solve_system_-200-2": lambda: solve_system(ReducedParams(-2, 0, 0, -2, 2), theta),
+        "nonuniqueness_criterion": lambda: nonuniqueness_criterion(
+            ReducedParams(2, 0, 0, 2, 2), theta
+        ),
+        "solve_scalar": lambda: solve_scalar(2, pos),
+        "max_shifted_gain": lambda: max_shifted_gain(2, pos),
+        "ti_field_root": lambda: ti_field_root(2, pos),
+    }
+
+
+class TestThetaDomain:
+    """Every entry point that takes theta refuses the same band within
+    ATANH_GUARD of +-1, also where its own computation would not meet the
+    arctanh guard (reduction (-2,0,0,-2) at theta > 0 needs no kernel call,
+    and f_theta(theta, 0.5) stays clear of it), and accepts the float
+    below the band."""
+
+    BAND = [1.0 - ATANH_GUARD, 0.9999999999999994, math.nextafter(1.0, 0.0)]
+    EDGE = math.nextafter(1.0 - ATANH_GUARD, 0.0)
+    NAMES = list(_theta_calls(0.5, 1.0))
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("theta", BAND + [-t for t in BAND])
+    def test_band_refused(self, theta, name):
+        # tanh(17.8) = 0.9999999999999993 lies in the band
+        call = _theta_calls(theta, 17.8)[name]
+        with pytest.raises(ValueError):
+            call()
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("theta", [EDGE, -EDGE])
+    def test_edge_accepted(self, theta, name):
+        # tanh(atanh(EDGE)) rounds back to EDGE
+        assert _theta_calls(theta, math.atanh(self.EDGE))[name]() is not None
 
 
 class TestFThetaPrime:

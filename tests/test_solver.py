@@ -101,11 +101,6 @@ class TestSolveScalar:
         h = roots[-1]
         assert h > 0 and abs(h - 2 * f_theta(theta, h)) < 1e-12
 
-    def test_interval_must_cover_bound(self):
-        cfg = SolverConfig(scan_hi=1.0)  # 2 arctanh(0.8) = 2.197 > 1
-        with pytest.raises(ValueError):
-            solve_scalar(2, 0.8, cfg)
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             solve_scalar(0, 0.5)
@@ -305,37 +300,10 @@ class TestTranspose:
 
 
 class TestScanWindow:
-    """A configured scan_hi below the a-priori bound is refused in every
-    case, as solve_scalar refuses it, instead of silently losing roots."""
-
-    SHORT = SolverConfig(scan_hi=0.5)
-
-    def test_general_case_refuses_short_window(self):
-        with pytest.raises(ValueError, match="does not cover"):
-            solve_system(ReducedParams(3, -1, 4, 0, 4), 0.8, self.SHORT)
-
-    def test_a0_case_refuses_short_window(self):
-        with pytest.raises(ValueError, match="does not cover"):
-            solve_system(ReducedParams(0, 2, 2, 0, 2), 0.6, self.SHORT)
-
-    def test_shifted_roots_refuse_short_window(self):
-        with pytest.raises(ValueError, match="does not cover"):
-            _shifted_scalar_roots(2, 0.1, 0.8, self.SHORT)
-
-    def test_scalar_window_is_symmetric(self):
-        # scan_hi alone covers the scalar roots on both sides of zero
-        assert solve_scalar(4, 0.8, SolverConfig(scan_hi=10.0)) == pytest.approx(
-            solve_scalar(4, 0.8), abs=1e-12
-        )
-
-    def test_nonpositive_window_rejected(self):
-        with pytest.raises(ValueError, match="scan_hi must be positive"):
-            SolverConfig(scan_hi=0.0)
+    """Every scan covers the a-priori bound plus 0.5; no knob shortens it."""
 
     def test_covering_window_keeps_all_roots(self):
-        r = ReducedParams(3, -1, 4, 0, 4)
-        wide = solve_system(r, 0.8, SolverConfig(scan_hi=10.0))
-        assert len(wide) == len(solve_system(r, 0.8)) == 5
+        assert len(solve_system(ReducedParams(3, -1, 4, 0, 4), 0.8)) == 5
 
 
 class TestWorkCounts:
