@@ -30,7 +30,7 @@ from .scheme import (
     nonuniqueness_criterion,
     reduce as reduce_scheme,
 )
-from .solver import FieldPair, SolverConfig, solve_system, system_residual
+from .solver import FieldPair, SolverConfig, _solve_thetas, solve_system, system_residual
 from .tree import (
     CapacityError,
     FieldLabel,
@@ -213,18 +213,17 @@ def _cmd_enumerate(args) -> int:
 def _sweep_rows(payload) -> list[tuple[list[str], list[dict]]]:
     """CSV rows and sidecar warnings of schemes sharing one reduction.
 
-    Every theta is solved once for the whole group; only the family column
-    depends on the scheme itself.
+    All thetas are solved in one call for the whole group; only the family
+    column depends on the scheme itself.
     """
-    k, rows_ab, thetas, cfg_kwargs = payload
+    k, rows_ab, thetas, couplings, cfg_kwargs = payload
     cfg = SolverConfig(**cfg_kwargs)
     schemes = [SchemeMatrix(k=k, a=a_row, b=b_row) for a_row, b_row in rows_ab]
     r = reduce_scheme(schemes[0])
     out: list[tuple[list[str], list[dict]]] = [([], []) for _ in schemes]
-    for theta in thetas:
-        solutions = solve_system(r, theta, cfg)
+    for theta, coupling, solutions in zip(thetas, couplings, _solve_thetas(r, thetas, cfg)):
         pair = solutions.largest_nonnegative()
-        report = assess_solution(k, Coupling.from_theta(theta), pair)
+        report = assess_solution(k, coupling, pair)
         head = [
             str(r.a), str(r.b), str(r.c), str(r.d),
             _fmt(theta),
@@ -261,10 +260,12 @@ def _cmd_sweep(args) -> int:
         )
     if args.steps < 2:
         raise _ThetaError("steps must be >= 2")
+    # the last theta is theta-hi itself: lo + (steps-1) * step can round
+    # past it, into the guard band when theta-hi is at its edge
     thetas = [
         args.theta_lo + i * (args.theta_hi - args.theta_lo) / (args.steps - 1)
-        for i in range(args.steps)
-    ]
+        for i in range(args.steps - 1)
+    ] + [args.theta_hi]
     if args.scheme:
         schemes = []
         for spec in args.scheme:
@@ -281,12 +282,13 @@ def _cmd_sweep(args) -> int:
         )
     cfg = _solver_config(args)
     cfg_kwargs = asdict(cfg)
+    couplings = [Coupling.from_theta(theta) for theta in thetas]
     # one payload per distinct reduction, in order of first appearance
     groups: dict = {}
     for i, m in enumerate(schemes):
         groups.setdefault(reduce_scheme(m).abcd, []).append(i)
     payloads = [
-        (args.k, [(schemes[i].a, schemes[i].b) for i in members], thetas, cfg_kwargs)
+        (args.k, [(schemes[i].a, schemes[i].b) for i in members], thetas, couplings, cfg_kwargs)
         for members in groups.values()
     ]
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)

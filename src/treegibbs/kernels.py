@@ -69,21 +69,28 @@ def _arctanh_unchecked(x):
     return math.copysign(0.5 * math.log((1.0 + mag) / (1.0 - mag)), x)
 
 
-def _check_theta(theta: float) -> float:
+def _check_theta(theta):
     """The package's theta domain: finite with ``|theta| < 1 - ATANH_GUARD``.
 
     Every entry point that takes theta calls this.  ``arctanh(theta)``
     bounds every field, so a theta inside the guard is refused here, the
     same way wherever it enters, rather than by whichever kernel call
-    happens to meet it.
+    happens to meet it.  An array is checked element by element and
+    returned as it is; its first element outside the domain raises the
+    error that element raises alone.
     """
+    if isinstance(theta, np.ndarray):
+        outside = ~(np.abs(theta) < 1.0 - ATANH_GUARD)  # nan is outside too
+        if not outside.any():
+            return theta
+        theta = theta[outside].flat[0]
     theta = float(theta)
     if not math.isfinite(theta) or abs(theta) >= 1.0 - ATANH_GUARD:
         raise ValueError(f"theta must satisfy |theta| < 1 - {ATANH_GUARD:g}, got {theta!r}")
     return theta
 
 
-def f_theta(theta: float, h):
+def f_theta(theta, h):
     """Recursion kernel arctanh(theta * tanh(h)).
 
     Odd in both arguments, bounded by arctanh(|theta|), strictly increasing
@@ -92,7 +99,9 @@ def f_theta(theta: float, h):
     ``theta`` is checked once, by ``_check_theta``: inside its domain every
     float64 ``|theta * tanh(h)| <= |theta|`` is clear of the arctanh guard,
     so only an array of another float type goes through the checked
-    ``arctanh``.
+    ``arctanh``.  An array ``theta`` is broadcast against an array ``h`` of
+    the result's shape: each element takes the same float operations, in
+    the same order, as a scalar theta.
     """
     theta = _check_theta(theta)
     if isinstance(h, np.ndarray):

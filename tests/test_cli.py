@@ -349,6 +349,21 @@ class TestSweep:
         assert captured.err.startswith("error: need 0 < theta-lo < theta-hi")
         assert not out.exists()
 
+    def test_theta_hi_is_last_grid_theta(self, capsys, tmp_path):
+        # 0.05 + 5 * ((hi - 0.05) / 5) rounds up to 1 - 1e-15, inside the
+        # guard, although theta-hi itself is clear of it
+        theta_hi = "0.9999999999999989"
+        out = tmp_path / "x.csv"
+        code = main(
+            ["sweep", "--k", "2", "--theta-lo", "0.05", "--theta-hi", theta_hi,
+             "--steps", "6", "--jobs", "1", "--out", str(out)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        header = lines[1].split(",")
+        assert dict(zip(header, lines[-1].split(",")))["theta"] == _fmt(float(theta_hi))
+
     def test_instance_cap_exit_5(self, capsys, tmp_path):
         code = main(
             ["sweep", "--k", "2", "--theta-lo", "0.1", "--theta-hi", "0.9",

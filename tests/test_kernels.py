@@ -147,6 +147,28 @@ class TestFThetaBits:
         assert type(got) is float
         assert _bits(got) == _bits(self._literal_scalar(theta, h))
 
+    def test_array_theta_bits_match_rows(self):
+        # a column of thetas against a grid per row, as the scan's coarse
+        # pass calls it, and one theta per point, as its second pass does
+        thetas = np.array(self.THETAS)
+        hs = np.array(self.HS + list(np.linspace(-6.0, 6.0, 97)))
+        grid = np.array([hs * (1.0 + 0.1 * row) for row in range(len(thetas))])
+        got = f_theta(thetas[:, None], grid)
+        for row, theta in enumerate(self.THETAS):
+            np.testing.assert_array_equal(_bits(got[row]), _bits(f_theta(theta, grid[row])))
+        flat = f_theta(np.repeat(thetas, hs.size), grid.ravel())
+        np.testing.assert_array_equal(_bits(flat), _bits(got.ravel()))
+
+    @pytest.mark.parametrize(
+        "bad", [1.0 - ATANH_GUARD, math.nextafter(1.0, 0.0), -1.0, 1.5, math.inf, math.nan]
+    )
+    def test_array_theta_checked_per_element(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            f_theta(bad, np.array([0.3]))
+        with pytest.raises(ValueError) as array:
+            f_theta(np.array([[0.5], [bad], [-0.3]]), np.zeros((3, 4)))
+        assert str(array.value) == str(scalar.value)
+
     def test_zero_d_array_gives_float(self):
         for h in (np.array(0.3), np.array(-0.0)):
             got = f_theta(0.5, h)
@@ -199,6 +221,7 @@ def _theta_calls(theta, beta):
     return {
         "f_theta": lambda: f_theta(theta, 0.5),
         "f_theta_array": lambda: f_theta(theta, np.array([0.0, 0.5, 20.0])),
+        "f_theta_theta_array": lambda: f_theta(np.array([0.5, theta]), np.array([0.5, 20.0])),
         "f_theta_prime": lambda: f_theta_prime(theta, 0.5),
         "from_theta": lambda: Coupling.from_theta(theta),
         "from_interaction": lambda: Coupling.from_interaction(sign, beta),

@@ -3,6 +3,7 @@ b = 0?) through the solver's two equation shapes, residuals, negation
 closure and the signed sufficiency of the multiplicity criterion."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from treegibbs import (
     system_residual,
 )
 from treegibbs import solver
+from treegibbs.kernels import ATANH_GUARD
 from treegibbs.solver import _shifted_scalar_roots
 
 from mp_oracles import mp_scalar_root, mp_shifted_gain
@@ -229,14 +231,15 @@ class TestCaseB0:
         # three shifted roots when |t| < gain, one when |t| > gain
         gain = max_shifted_gain(2, 0.8)
         assert gain == pytest.approx(float(mp_shifted_gain(2, 0.8)), abs=1e-12)
-        lo_roots, _ = _shifted_scalar_roots(2, 0.5 * gain, 0.8, SolverConfig())
-        hi_roots, _ = _shifted_scalar_roots(2, 2.0 * gain, 0.8, SolverConfig())
+        (lo_roots, _), (hi_roots, _) = _shifted_scalar_roots(
+            2, [0.5 * gain, 2.0 * gain], [0.8, 0.8], SolverConfig()
+        )
         assert len(lo_roots) == 3
         assert len(hi_roots) == 1
 
     def test_boundary_degenerate_flagged(self):
         gain = max_shifted_gain(2, 0.8)
-        roots, warnings = _shifted_scalar_roots(2, gain, 0.8, SolverConfig())
+        [(roots, warnings)] = _shifted_scalar_roots(2, [gain], [0.8], SolverConfig())
         assert len(roots) == 2
         assert any("boundary-degenerate" in w for w in warnings)
 
@@ -308,7 +311,8 @@ class TestScanWindow:
 
 class TestWorkCounts:
     """The closed residual evaluates the kernel once per field value: once at
-    h and once at phi(h), on the grid and in every bisection or polish step."""
+    h and once at phi(h), in both passes of the scan and in every bisection
+    or polish step."""
 
     @pytest.mark.parametrize("grid_points", [64, 4096])
     @pytest.mark.parametrize(
@@ -333,25 +337,156 @@ class TestWorkCounts:
 
         monkeypatch.setattr(solver, "f_theta", counted_kernel)
         monkeypatch.setattr(solver, "_bisect", counted_bisect)
-        pairs, _ = solver._case_general(
-            ReducedParams(*abcd, k), theta, SolverConfig(grid_points=grid_points)
+        [(pairs, _)] = solver._case_general(
+            ReducedParams(*abcd, k), [theta], SolverConfig(grid_points=grid_points)
         )
         positive_roots = (len(pairs) - 1) // 2
         assert positive_roots > 0 and residual_evals[0] > 0
-        assert [n for n in kernel_sizes if n is not None] == [grid_points + 1] * 2
+        # the coarse pass on every _STRIDE-th point and the last, then the
+        # pass over the kept cells: two kernel calls of equal size each
+        arrays = [n for n in kernel_sizes if n is not None]
+        assert arrays[:2] == [grid_points // solver._STRIDE + 1] * 2
+        assert len(arrays) == 4 and arrays[2] == arrays[3] and 0 < arrays[2] < grid_points
         # each residual step makes two scalar calls; phi(h) makes one per root
         assert kernel_sizes.count(None) == 2 * residual_evals[0] + positive_roots
 
 
 class TestGrid:
+    """Every evaluated x is bit-equal to np.linspace at its index, whether
+    the screen drops no cell (no slope bound) or every cell (a residual of
+    1 under a slope bound of 1e-300)."""
+
     @pytest.mark.parametrize("grid_points", [64, 1000, 4096])
     @pytest.mark.parametrize("hi", [1e-320, 1e-300, 1e-3, 3.7, 41.25, 1e300])
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_matches_linspace_bits(self, grid_points, hi, symmetric):
         lo = -hi if symmetric else 0.0
-        xs, ys = solver._grid(lambda x: x, lo, hi, SolverConfig(grid_points=grid_points))
+        cfg = SolverConfig(grid_points=grid_points)
         expected = np.linspace(lo, hi, grid_points + 1)
+        [(xs, ys)] = solver._scan(lambda rows, x: x, [lo], [hi], [math.inf], cfg)
         np.testing.assert_array_equal(xs.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(ys.view(np.uint64), expected.view(np.uint64))
+        coarse = np.append(np.arange(0, grid_points, solver._STRIDE), grid_points)
+        [(xs, ys)] = solver._scan(lambda rows, x: np.ones_like(x), [lo], [hi], [1e-300], cfg)
+        np.testing.assert_array_equal(xs.view(np.uint64), expected[coarse].view(np.uint64))
+        assert np.all(ys == 1.0)
+
+
+def _sweep_thetas(k):
+    """The 19 sweep thetas and, for m = 1..k, 1/m and its two float
+    neighbours, where they lie in the theta domain (for m = 1 none does)."""
+    thetas = [0.05 + i * 0.9 / 18 for i in range(19)]
+    for m in range(1, k + 1):
+        for t in (1.0 / m, math.nextafter(1.0 / m, 0.0), math.nextafter(1.0 / m, 1.0)):
+            if t < 1.0 - ATANH_GUARD:
+                thetas.append(t)
+    return thetas
+
+
+def _grid_marks(ys):
+    """What the root scan reads from a grid, along the last axis: exact
+    zeros, sign changes between neighbours (at the left point) and
+    extrema below 1e-5 in absolute value (at the extremum)."""
+    y, left, right = ys[..., 1:-1], ys[..., :-2], ys[..., 2:]
+    extremal = ((y < left) & (y <= right)) | ((y > left) & (y >= right))
+    return ys == 0.0, ys[..., :-1] * ys[..., 1:] < 0.0, extremal & (np.abs(y) < 1e-5)
+
+
+class TestScreen:
+    """The screened scan loses nothing the full grid finds.  Every scan is
+    also evaluated on its full np.linspace grid.  Per row, the screened
+    points must carry the full grid's values and exactly its marks (exact
+    zeros, sign-change cells, near-zero extrema), each with its grid
+    neighbours, which is all that ``_roots_on_grid`` and the tangency probe
+    read.  For k <= 2, solving on the full grids must also give the same
+    solutions and warnings at every theta.  The solver's residuals keep
+    every cell even under a bound 10^4 times too small, so rows of a
+    residual that turns within one cell check that the bound is used."""
+
+    @staticmethod
+    def _check_rows(grids, values, screened):
+        n = grids.shape[1]
+        (zr, zj), (cr, cj), (er, ej) = (mask.nonzero() for mask in _grid_marks(values))
+        want = [zr * n + zj, cr * n + cj, er * n + ej + 1]
+        got = [[], [], []]
+        for row, (grid, full, (xs, ys)) in enumerate(zip(grids, values, screened)):
+            at = np.searchsorted(grid, xs)
+            assert np.array_equal(grid[at].view(np.uint64), xs.view(np.uint64))
+            assert np.array_equal(full[at].view(np.uint64), ys.view(np.uint64))
+            z, c, e = _grid_marks(ys)
+            c, e = np.flatnonzero(c), np.flatnonzero(e) + 1
+            # a mark is read together with its grid neighbours
+            assert np.all(at[c + 1] == at[c] + 1)
+            assert np.all(at[e - 1] == at[e] - 1) and np.all(at[e + 1] == at[e] + 1)
+            for marks, idx in zip(got, (at[z], at[c], at[e])):
+                marks.append(row * n + idx)
+        for marks, expected in zip(got, want):
+            assert np.array_equal(np.concatenate(marks), expected)
+
+    def _check(self, monkeypatch, r, thetas, cfg, solve_full):
+        real_scan = solver._scan
+        rows_checked = [0]
+
+        def full_grid_scan(fn, los, his, lips, cfg):
+            n = cfg.grid_points
+            grids = np.array([np.linspace(lo, hi, n + 1) for lo, hi in zip(los, his)])
+            rows = np.arange(len(los))[:, None] if len(los) > 1 else 0
+            values = np.asarray(fn(rows, grids), dtype=float)
+            screened = real_scan(fn, los, his, lips, cfg)
+            self._check_rows(grids, values, screened)
+            rows_checked[0] += len(los)
+            return list(zip(grids, values)) if solve_full else screened
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_scan", full_grid_scan)
+            reference = solver._solve_thetas(r, thetas, cfg)
+        if solve_full:
+            for theta, got, want in zip(thetas, solver._solve_thetas(r, thetas, cfg), reference):
+                assert got.solutions == want.solutions, (r.abcd, theta)
+                assert got.warnings == want.warnings, (r.abcd, theta)
+        return rows_checked[0]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_all_reductions(self, monkeypatch, k):
+        cfg = SolverConfig()
+        thetas = _sweep_thetas(k)
+        rows = sum(self._check(monkeypatch, r, thetas, cfg, k <= 2) for r in realizable_reduced(k))
+        assert rows > 0
+
+    @pytest.mark.parametrize("size", [1, 15])
+    def test_residual_turning_inside_cells(self, size):
+        # The solver's residuals bend too slowly for a cell of 16 steps to
+        # hide a root between two clear end values, so they alone would not
+        # notice a bound that is too small.  sin(omega x + phase) on [0, 1],
+        # with its exact slope bound omega, turns by 0.4 to 20 radians
+        # within one cell.
+        cfg = SolverConfig()
+        params = [(w, p) for w in (5000.0, 1600.0, 800.0, 400.0, 100.0) for p in (0.0, 0.3, 1.0)]
+        omega, phase = (np.array(v)[:size] for v in zip(*params))
+
+        def fn(rows, x):
+            return np.sin(omega[rows] * x + phase[rows])
+
+        screened = solver._scan(fn, [0.0] * size, [1.0] * size, omega.tolist(), cfg)
+        grids = np.tile(np.linspace(0.0, 1.0, cfg.grid_points + 1), (size, 1))
+        self._check_rows(grids, fn(np.arange(size)[:, None], grids), screened)
+
+    def test_k4_sample(self, monkeypatch):
+        cfg = SolverConfig()
+        reductions = sorted(realizable_reduced(4), key=lambda q: q.abcd)
+        sample = random.Random(4).sample(reductions, 200)
+        thetas = _sweep_thetas(4)
+        assert sum(self._check(monkeypatch, r, thetas, cfg, False) for r in sample) > 0
+
+
+class TestSolveThetas:
+    def test_mixed_signs_match_one_theta_solves(self):
+        half_up = math.nextafter(0.5, 1.0)
+        thetas = [0.8, -0.8, 0.0, -0.0, 0.3, -0.55, half_up, -half_up, 0.5, -0.95]
+        cfg = SolverConfig()
+        for r in sorted(realizable_reduced(2), key=lambda q: q.abcd):
+            batched = solver._solve_thetas(r, thetas, cfg)
+            assert batched == [solve_system(r, theta, cfg) for theta in thetas], r.abcd
 
 
 class TestSolveSystem:
