@@ -285,8 +285,8 @@ def find_roots_1d(
 ) -> list[float]:
     """Sign-change-isolated roots of ``fn`` on [lo, hi], sorted ascending.
 
-    ``fn`` must accept a numpy array (the grid evaluation) as well as
-    scalars (the bisection).  A root the function merely touches without
+    ``fn`` must act elementwise on numpy arrays of any shape (the grid
+    evaluation) as well as on scalars (the bisection).  A root the function merely touches without
     crossing is reported only if a grid point evaluates to exactly zero.
     ``fn`` has no known slope bound, so every grid point is evaluated.
     """

@@ -399,8 +399,8 @@ class TestScreen:
     zeros, sign-change cells, near-zero extrema), each with its grid
     neighbours, which is all that ``_roots_on_grid`` and the tangency probe
     read.  For k <= 2, solving on the full grids must also give the same
-    solutions and warnings at every theta.  The solver's residuals keep
-    every cell even under a bound 10^4 times too small, so rows of a
+    solutions and warnings at every theta.  On the solver's residuals this
+    holds even with a slope bound 10^4 times too small, so rows of a
     residual that turns within one cell check that the bound is used."""
 
     @staticmethod
