@@ -5,13 +5,18 @@ schemes for a k, CSV), ``classify`` (family of one scheme, JSON), ``sweep``
 (scheme x theta grid, CSV + warnings sidecar), ``verify`` (finite-volume
 brute-force checks of one solved instance, JSON).
 
-Exit codes: 0 success, 1 verification checks failed, 2 invalid matrix,
-3 invalid theta, 4 output I/O failure, 5 capacity breach.
+Exit codes: 0 success, 1 verification checks failed, 2 invalid matrix or
+other bad input, 3 invalid theta, 4 I/O failure (an output file, or an
+unreadable ``--config`` or ``--assignment`` file), 5 capacity breach.
+
+``main(argv)`` may be called any number of times in one process: the
+parser is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -173,7 +178,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_classify(args) -> int:
     m = _scheme_from(args.k, args.a, args.b)
-    family = classify(m, FieldPair(args.field_h, args.field_l))
+    try:
+        pair = FieldPair(args.field_h, args.field_l)
+    except ValueError as exc:
+        raise _MatrixError(f"bad field pair: {exc}") from exc
+    family = classify(m, pair)
     print(json.dumps({"family": family.tag.value, "param": family.param}, indent=2))
     return EXIT_OK
 
@@ -260,6 +269,8 @@ def _cmd_sweep(args) -> int:
         )
     if args.steps < 2:
         raise _ThetaError("steps must be >= 2")
+    if args.jobs < 0:
+        raise _MatrixError(f"jobs must be >= 0 (0 = all cores), got {args.jobs}")
     # the last theta is theta-hi itself: lo + (steps-1) * step can round
     # past it, into the guard band when theta-hi is at its edge
     thetas = [
@@ -275,7 +286,10 @@ def _cmd_sweep(args) -> int:
                 raise _MatrixError(f"bad --scheme {spec!r} (want a1,..,a4:b1,..,b4)") from exc
             schemes.append(_scheme_from(args.k, a_text, b_text))
     else:
-        schemes = list(enumerate_schemes(args.k))
+        try:
+            schemes = list(enumerate_schemes(args.k))
+        except ValueError as exc:
+            raise _MatrixError(str(exc)) from exc
     if len(schemes) * args.steps > 10_000_000:
         raise CapacityError(
             f"{len(schemes)} schemes x {args.steps} steps exceeds the 10^7 sweep cap"
@@ -418,7 +432,11 @@ def _add_solver_flags(sub) -> None:
     sub.add_argument("--dedup-tol", dest="dedup_tol", type=float)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  Sharing it is
+    safe: ``parse_args`` leaves it unchanged and returns a fresh namespace,
+    and help is laid out to the terminal width when it is printed."""
     parser = argparse.ArgumentParser(
         prog="treegibbs",
         description="Four-valued boundary-field Gibbs measures on Cayley trees",

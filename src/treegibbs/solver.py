@@ -92,8 +92,10 @@ class SolverConfig:
         if self.grid_points < 64:
             raise ValueError(f"grid_points must be >= 64, got {self.grid_points}")
         for name in ("bisect_tol", "residual_tol", "dedup_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            # NaN fails both comparisons
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 # distance by which every scan window extends past the a-priori bound

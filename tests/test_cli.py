@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from treegibbs import ReducedParams, kappa_bound_generic, Coupling, solve_system
-from treegibbs.cli import _fmt, main
+from treegibbs.cli import _build_parser, _fmt, main
 
 H_STAR_2_08 = 2.0634370688955605
 
@@ -111,6 +112,26 @@ class TestSolve:
         assert code == 0
         assert len(json.loads(out)["solutions"]) == 9
 
+    # NaN passes a `<= 0` test: --dedup-tol nan printed (0, 0) three times
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("key", ["bisect_tol", "residual_tol", "dedup_tol"])
+    @pytest.mark.parametrize("by_file", [False, True])
+    def test_bad_tolerance_exit_2(self, capsys, tmp_path, value, key, by_file):
+        argv = ["solve", "--k", "3", "--a", "2,0,1,0", "--b", "1,0,1,1", "--theta", "0.8"]
+        if by_file:
+            cfg = tmp_path / "solver.cfg"
+            cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--" + key.replace("_", "-"), value]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: bad solver configuration: {key} must be finite and positive"
+        )
+
 
 class TestShortScanWindow:
     """The scan window is worked out from the instance's a-priori bound, so
@@ -166,6 +187,14 @@ class TestClassify:
         )
         assert code == 0
         assert json.loads(out) == {"family": "WeaklyPeriodicI3", "param": 1}
+
+    @pytest.mark.parametrize("flag,value", [("--h", "nan"), ("--l", "inf")])
+    def test_nonfinite_field_exit_2(self, capsys, flag, value):
+        code = main(["classify", "--k", "4", "--a", "3,0,0,1", "--b", "4,0,0,0", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad field pair: field pair must be finite")
 
 
 class TestEnumerate:
@@ -364,6 +393,19 @@ class TestSweep:
         header = lines[1].split(",")
         assert dict(zip(header, lines[-1].split(",")))["theta"] == _fmt(float(theta_hi))
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--k", "0"], "k must be a positive integer"),
+        (["--k", "2", "--jobs", "-1"], "jobs must be >= 0"),
+    ])
+    def test_bad_k_or_jobs_exit_2(self, capsys, tmp_path, extra, message):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--theta-lo", "0.4", "--theta-hi", "0.8", "--steps", "2",
+                     "--out", str(out)] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: " + message)
+        assert not out.exists()
+
     def test_instance_cap_exit_5(self, capsys, tmp_path):
         code = main(
             ["sweep", "--k", "2", "--theta-lo", "0.1", "--theta-hi", "0.9",
@@ -509,6 +551,69 @@ class TestVerify:
     def test_solution_index_out_of_range(self, capsys):
         code, _ = _run(capsys, self.BASE + ["--solution-index", "40"])
         assert code == 2
+
+
+class TestSharedParser:
+    """``main`` parses every call with one parser, built on the first call."""
+
+    VERIFY = TestVerify.BASE + ["--solution-index", "7"]
+
+    def test_scheme_lists_do_not_accumulate(self, capsys, tmp_path):
+        texts = []
+        for name, spec in (("a.csv", "2,0,0,0:0,0,2,0"), ("b.csv", "0,2,0,0:0,2,0,0")):
+            out = tmp_path / name
+            code = main(["sweep", "--k", "2", "--theta-lo", "0.4", "--theta-hi", "0.8",
+                         "--steps", "2", "--jobs", "1", "--out", str(out), "--scheme", spec])
+            capsys.readouterr()
+            assert code == 0
+            texts.append(out.read_text(encoding="utf-8").splitlines())
+        for lines, spec in zip(texts, ("2,0,0,0,0,0,2,0", "0,2,0,0,0,2,0,0")):
+            assert len(lines) == 2 + 2
+            assert all(line.startswith("2," + spec + ",") for line in lines[2:])
+
+    def test_usage_error_leaves_parser_intact(self, capsys):
+        code, before = _run(capsys, self.VERIFY)
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--theta", "0.8", "--depth", "three"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert _run(capsys, self.VERIFY) == (0, before)
+
+    def test_help_follows_columns_set_later(self, capsys, monkeypatch):
+        main(["enumerate", "--k", "1"])
+        capsys.readouterr()
+        helps = []
+        for columns in ("50", "150"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for parse in (main, _build_parser.__wrapped__().parse_args):
+                with pytest.raises(SystemExit) as exc:
+                    parse(["verify", "--help"])
+                assert exc.value.code == 0
+                helps.append(capsys.readouterr().out)
+        shared_50, fresh_50, shared_150, fresh_150 = helps
+        assert shared_50 == fresh_50
+        assert shared_150 == fresh_150
+        assert shared_50 != shared_150
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        _build_parser.__wrapped__()
+        per_build = len(built)  # the top-level parser and its five subparsers
+        assert per_build == 6
+        built.clear()
+        _build_parser.cache_clear()
+        for _ in range(10):
+            assert main(["classify", "--k", "2", "--a", "2,0,0,0", "--b", "0,0,2,0"]) == 0
+        capsys.readouterr()
+        assert len(built) == per_build
 
 
 class TestSweepDigests:
