@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
@@ -307,6 +306,10 @@ def _cmd_sweep(args) -> int:
     ]
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     if jobs > 1 and len(payloads) > 1:
+        # imported here: multiprocessing adds 2 MB to every process that
+        # loads it, and only a parallel sweep needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             grouped = list(pool.map(_sweep_rows, payloads))
     else:
