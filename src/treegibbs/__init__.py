@@ -3,12 +3,10 @@ trees: scheme matrices, the two-field fixed-point solver, exact
 finite-volume oracles and extremality certificates."""
 
 from .extremality import (
-    AlphaConvention,
     ExtremalityReport,
     Verdict,
     assess_solution,
     certify,
-    exp_system_residual,
     gamma_bound,
     kappa_bound_generic,
     extremality_windows,
@@ -21,9 +19,7 @@ from .oracle import (
     check_kolmogorov,
     config_weight,
     finite_volume_measure,
-    parent_disagreement_distance,
     root_marginal_ratio,
-    variation_distance,
 )
 from .scheme import (
     Family,
@@ -64,18 +60,16 @@ from .tree import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaConvention", "BoundaryAssignment", "CapacityError",
-    "CompatibilityReport", "Coupling", "ExtremalityReport", "Family",
-    "FieldLabel", "FieldPair", "FiniteTree", "FiniteVolumeMeasure",
-    "KolmogorovReport", "MeasureFamily", "ReducedParams", "SchemeMatrix",
-    "SolutionSet", "SolverConfig", "Verdict", "arctanh", "assess_solution",
-    "assign_fields", "big_f", "big_f_prime", "build_tree", "certify",
-    "check_kolmogorov", "classify", "config_weight", "criterion_value",
-    "enumerate_schemes", "exp_system_residual", "export_assignment",
-    "f_theta", "f_theta_prime", "find_roots_1d", "finite_volume_measure",
-    "gamma_bound", "k_beta", "kappa_bound_generic", "max_shifted_gain",
-    "nonuniqueness_criterion", "numeric_field", "parent_disagreement_distance",
-    "parse_assignment", "realizable_reduced", "reduce", "root_marginal_ratio",
-    "solve_scalar", "solve_system", "system_residual", "extremality_windows",
-    "ti_field_root", "variation_distance", "verify_compatibility",
+    "BoundaryAssignment", "CapacityError", "CompatibilityReport", "Coupling",
+    "ExtremalityReport", "Family", "FieldLabel", "FieldPair", "FiniteTree",
+    "FiniteVolumeMeasure", "KolmogorovReport", "MeasureFamily", "ReducedParams",
+    "SchemeMatrix", "SolutionSet", "SolverConfig", "Verdict", "arctanh",
+    "assess_solution", "assign_fields", "big_f", "big_f_prime", "build_tree",
+    "certify", "check_kolmogorov", "classify", "config_weight", "criterion_value",
+    "enumerate_schemes", "export_assignment", "f_theta", "f_theta_prime",
+    "find_roots_1d", "finite_volume_measure", "gamma_bound", "k_beta",
+    "kappa_bound_generic", "max_shifted_gain", "nonuniqueness_criterion",
+    "numeric_field", "parse_assignment", "realizable_reduced", "reduce",
+    "root_marginal_ratio", "solve_scalar", "solve_system", "system_residual",
+    "extremality_windows", "ti_field_root", "verify_compatibility",
 ]

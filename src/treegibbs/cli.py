@@ -7,7 +7,11 @@ brute-force checks of one solved instance, JSON).
 
 Exit codes: 0 success, 1 verification checks failed, 2 invalid matrix or
 other bad input, 3 invalid theta, 4 I/O failure (an output file, or an
-unreadable ``--config`` or ``--assignment`` file), 5 capacity breach.
+unreadable ``--assignment`` file), 5 capacity breach.
+
+``solve``, ``sweep`` and ``verify`` take the solver settings as flags
+(``--grid-points``, ``--bisect-tol``, ``--residual-tol``,
+``--dedup-tol``); a value that ``SolverConfig`` refuses exits 2.
 
 ``main(argv)`` may be called any number of times in one process: the
 parser is built on the first call and reused.
@@ -21,7 +25,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 from .extremality import assess_solution
@@ -105,38 +108,11 @@ def _parse_theta(text: str) -> float:
     return theta
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    int_keys = {"grid_points"}
-    float_keys = {"bisect_tol", "residual_tol", "dedup_tol"}
-    out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line {raw!r} (want key=value)")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in int_keys:
-                out[key] = int(value)
-            elif key in float_keys:
-                out[key] = float(value)
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-    return out
-
-
 def _solver_config(args) -> SolverConfig:
-    cfg = SolverConfig()
+    flags = ("grid_points", "bisect_tol", "residual_tol", "dedup_tol")
+    given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
     try:
-        overrides = _load_config(getattr(args, "config", None))
-        for flag in ("grid_points", "bisect_tol", "residual_tol", "dedup_tol"):
-            value = getattr(args, flag, None)
-            if value is not None:
-                overrides[flag] = value
-        return replace(cfg, **overrides) if overrides else cfg
+        return SolverConfig(**given)
     except ValueError as exc:
         raise _MatrixError(f"bad solver configuration: {exc}") from exc
 
@@ -224,8 +200,7 @@ def _sweep_rows(payload) -> list[tuple[list[str], list[dict]]]:
     All thetas are solved in one call for the whole group; only the family
     column depends on the scheme itself.
     """
-    k, rows_ab, thetas, couplings, cfg_kwargs = payload
-    cfg = SolverConfig(**cfg_kwargs)
+    k, rows_ab, thetas, couplings, cfg = payload
     schemes = [SchemeMatrix(k=k, a=a_row, b=b_row) for a_row, b_row in rows_ab]
     r = reduce_scheme(schemes[0])
     out: list[tuple[list[str], list[dict]]] = [([], []) for _ in schemes]
@@ -284,24 +259,26 @@ def _cmd_sweep(args) -> int:
             except ValueError as exc:
                 raise _MatrixError(f"bad --scheme {spec!r} (want a1,..,a4:b1,..,b4)") from exc
             schemes.append(_scheme_from(args.k, a_text, b_text))
+        n_schemes = len(schemes)
     else:
-        try:
-            schemes = list(enumerate_schemes(args.k))
-        except ValueError as exc:
-            raise _MatrixError(str(exc)) from exc
-    if len(schemes) * args.steps > 10_000_000:
+        if args.k < 1:
+            raise _MatrixError(f"k must be a positive integer, got {args.k}")
+        # the count enumerate_schemes yields, known before a scheme is built
+        n_schemes = math.comb(args.k + 3, 3) ** 2
+    if n_schemes * args.steps > 10_000_000:
         raise CapacityError(
-            f"{len(schemes)} schemes x {args.steps} steps exceeds the 10^7 sweep cap"
+            f"{n_schemes} schemes x {args.steps} steps exceeds the 10^7 sweep cap"
         )
+    if not args.scheme:
+        schemes = list(enumerate_schemes(args.k))
     cfg = _solver_config(args)
-    cfg_kwargs = asdict(cfg)
     couplings = [Coupling.from_theta(theta) for theta in thetas]
     # one payload per distinct reduction, in order of first appearance
     groups: dict = {}
     for i, m in enumerate(schemes):
         groups.setdefault(reduce_scheme(m).abcd, []).append(i)
     payloads = [
-        (args.k, [(schemes[i].a, schemes[i].b) for i in members], thetas, couplings, cfg_kwargs)
+        (args.k, [(schemes[i].a, schemes[i].b) for i in members], thetas, couplings, cfg)
         for members in groups.values()
     ]
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
@@ -428,7 +405,6 @@ def _cmd_verify(args) -> int:
 
 
 def _add_solver_flags(sub) -> None:
-    sub.add_argument("--config", help="key=value solver config file")
     sub.add_argument("--grid-points", dest="grid_points", type=int)
     sub.add_argument("--bisect-tol", dest="bisect_tol", type=float)
     sub.add_argument("--residual-tol", dest="residual_tol", type=float)

@@ -26,8 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .kernels import Coupling, _check_theta, big_f, k_beta
-from .scheme import SchemeMatrix
+from .kernels import Coupling, _check_theta, k_beta
 from .solver import FieldPair, SolverConfig, solve_scalar
 
 # Treat a field component this small as exactly zero when choosing between
@@ -46,19 +45,6 @@ class ExtremalityReport:
     gamma_bound: float
     product: float
     verdict: Verdict
-
-
-class AlphaConvention(Enum):
-    """Choice of alpha in the Moebius map F.
-
-    ``EXP_MINUS_2BJ`` is the convention under which exponentiating the
-    two-field system is an identity (exp(2 f_theta(h)) = F(exp(2h)));
-    ``EXP_MINUS_BJ`` is kept selectable for comparison and demonstrably
-    breaks that identity.
-    """
-
-    EXP_MINUS_2BJ = "exp(-2*beta*J)"
-    EXP_MINUS_BJ = "exp(-beta*J)"
 
 
 def _require_ferromagnetic(coupling: Coupling) -> None:
@@ -142,32 +128,3 @@ def assess_solution(k: int, coupling: Coupling, solution: FieldPair) -> Extremal
 def extremality_windows(k: int, theta: float, solution: FieldPair) -> Verdict:
     """The verdict of ``assess_solution`` at ``theta`` (in (0, 1))."""
     return assess_solution(k, Coupling.from_theta(theta), solution).verdict
-
-
-def exp_system_residual(
-    m: SchemeMatrix,
-    coupling: Coupling,
-    solution: FieldPair,
-    convention: AlphaConvention = AlphaConvention.EXP_MINUS_2BJ,
-) -> float:
-    """Worst residual of the exponentiated system
-
-        A = F(A)^(a1-a2) * F(C)^(a3-a4),   C = F(A)^(b1-b2) * F(C)^(b3-b4).
-
-    Under ``EXP_MINUS_2BJ`` this system is the exact exponentiation of the
-    two-field system, so solved pairs give residuals at solver accuracy;
-    under the literal ``EXP_MINUS_BJ`` convention the residual stays
-    bounded away from zero on nonzero solutions.
-    """
-    _require_ferromagnetic(coupling)
-    scale = 2.0 if convention is AlphaConvention.EXP_MINUS_2BJ else 1.0
-    alpha = math.exp(-scale * coupling.beta_j)
-    big_a = math.exp(2.0 * solution.h)
-    big_c = math.exp(2.0 * solution.l)
-    f_a = big_f(alpha, big_a)
-    f_c = big_f(alpha, big_c)
-    a1, a2, a3, a4 = m.a
-    b1, b2, b3, b4 = m.b
-    res_a = abs(big_a - f_a ** (a1 - a2) * f_c ** (a3 - a4))
-    res_c = abs(big_c - f_a ** (b1 - b2) * f_c ** (b3 - b4))
-    return max(res_a, res_c)

@@ -165,20 +165,14 @@ class Coupling:
         return cls(J=float(J), beta=float(beta), theta=math.tanh(float(beta) * float(J)))
 
     @classmethod
-    def from_theta(cls, theta: float, J: float | None = None) -> "Coupling":
-        """Coupling with the given theta; J defaults to sign(theta) (0 -> J=0)."""
+    def from_theta(cls, theta: float) -> "Coupling":
+        """Coupling with the given theta and J = sign(theta) (theta = 0
+        gives J = 0 and beta = 1)."""
         theta = _check_theta(theta)
-        if J is None:
-            J = math.copysign(1.0, theta) if theta != 0.0 else 0.0
-        J = float(J)
         if theta == 0.0:
-            if J != 0.0:
-                raise ValueError("theta = 0 requires J = 0")
             return cls(J=0.0, beta=1.0, theta=0.0)
-        if J == 0.0 or (J > 0) != (theta > 0):
-            raise ValueError(f"J={J!r} has the wrong sign for theta={theta!r}")
-        beta = arctanh(theta) / J
-        return cls(J=J, beta=beta, theta=theta)
+        J = math.copysign(1.0, theta)
+        return cls(J=J, beta=arctanh(theta) / J, theta=theta)
 
     @property
     def beta_j(self) -> float:

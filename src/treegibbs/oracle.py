@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .kernels import Coupling, k_beta
+from .kernels import Coupling
 from .tree import BoundaryAssignment, CapacityError, FiniteTree
 
 MAX_CONFIGS = 2**24
@@ -125,7 +125,6 @@ def finite_volume_measure(
     coupling: Coupling,
     n: int,
     root_parent_spin: Optional[int] = None,
-    max_configs: int = MAX_CONFIGS,
 ) -> FiniteVolumeMeasure:
     """Exact enumeration of the level-n Gibbs distribution.
 
@@ -136,9 +135,9 @@ def finite_volume_measure(
     if n > tree.depth:
         raise ValueError(f"depth {n} exceeds tree depth {tree.depth}")
     num_sites = tree.num_vertices_to_depth(n)
-    if 1 << num_sites > max_configs:
+    if 1 << num_sites > MAX_CONFIGS:
         raise CapacityError(
-            f"2^{num_sites} configurations exceed the cap of {max_configs}"
+            f"2^{num_sites} configurations exceed the cap of {MAX_CONFIGS}"
         )
     if root_parent_spin not in (None, 1, -1):
         raise ValueError(f"root_parent_spin must be +-1 or None, got {root_parent_spin!r}")
@@ -198,27 +197,3 @@ def root_marginal_ratio(mu: FiniteVolumeMeasure) -> float:
         _warnings.warn("root plus-probability underflowed; ratio reported as +inf")
         return math.inf
     return p_minus / p_plus
-
-
-def variation_distance(mu1: FiniteVolumeMeasure, mu2: FiniteVolumeMeasure, v: int) -> float:
-    """Variation distance of the spin-at-v marginals of two measures."""
-    a_plus, a_minus = mu1.site_marginal(v)
-    b_plus, b_minus = mu2.site_marginal(v)
-    return 0.5 * (abs(a_plus - b_plus) + abs(a_minus - b_minus))
-
-
-def parent_disagreement_distance(
-    tree: FiniteTree,
-    assignment: BoundaryAssignment,
-    coupling: Coupling,
-    n: int,
-) -> tuple[float, float]:
-    """Variation distance at the root between the measures with the grafted
-    parent spin frozen to +1 and to -1, paired with the kernel prediction
-    k_beta(exp(-2 h_root)) evaluated from the parent-free measure."""
-    mu_plus = finite_volume_measure(tree, assignment, coupling, n, root_parent_spin=1)
-    mu_minus = finite_volume_measure(tree, assignment, coupling, n, root_parent_spin=-1)
-    mu_free = finite_volume_measure(tree, assignment, coupling, n)
-    observed = variation_distance(mu_plus, mu_minus, 0)
-    predicted = k_beta(coupling, root_marginal_ratio(mu_free))
-    return observed, predicted

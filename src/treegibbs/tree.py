@@ -95,7 +95,7 @@ class FiniteTree:
         return (v - 1) // self.k
 
 
-def build_tree(k: int, n: int, max_vertices: int = MAX_VERTICES) -> FiniteTree:
+def build_tree(k: int, n: int) -> FiniteTree:
     """Half tree of order k and depth n (root has k children)."""
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
@@ -105,9 +105,9 @@ def build_tree(k: int, n: int, max_vertices: int = MAX_VERTICES) -> FiniteTree:
     width = 1
     for _ in range(n + 1):
         offsets.append(offsets[-1] + width)
-        if offsets[-1] > max_vertices:
+        if offsets[-1] > MAX_VERTICES:
             raise CapacityError(
-                f"tree k={k}, depth={n} exceeds the {max_vertices}-vertex cap"
+                f"tree k={k}, depth={n} exceeds the {MAX_VERTICES}-vertex cap"
             )
         width *= k
     return FiniteTree(k=k, depth=n, level_offsets=tuple(offsets))
@@ -127,7 +127,6 @@ class BoundaryAssignment:
     tree: FiniteTree
     codes: np.ndarray
     values: FieldPair
-    scheme: Optional[SchemeMatrix] = None
 
     def __post_init__(self):
         self.codes.flags.writeable = False
@@ -184,7 +183,7 @@ def assign_fields(
             keys = np.frombuffer(rng.randbytes(8 * block.size), dtype="<u8")
             block = np.take_along_axis(block, keys.reshape(block.shape).argsort(axis=1), axis=1)
         codes[offsets[level + 1] : offsets[level + 2]] = block.ravel()
-    return BoundaryAssignment(tree=tree, codes=codes, values=values, scheme=m)
+    return BoundaryAssignment(tree=tree, codes=codes, values=values)
 
 
 def numeric_field(assignment: BoundaryAssignment, x: int) -> float:
@@ -245,7 +244,7 @@ def export_assignment(assignment: BoundaryAssignment) -> str:
 
 
 def parse_assignment(text: str) -> BoundaryAssignment:
-    """Inverse of :func:`export_assignment` (scheme reference not recovered).
+    """Inverse of :func:`export_assignment`.
 
     Accepts exactly the text that :func:`export_assignment` writes, with
     trailing whitespace allowed after the last line, and raises

@@ -40,7 +40,6 @@ from treegibbs import (
     check_kolmogorov,
     criterion_value,
     enumerate_schemes,
-    exp_system_residual,
     f_theta,
     f_theta_prime,
     finite_volume_measure,
@@ -57,7 +56,9 @@ from treegibbs import (
     extremality_windows,
     verify_compatibility,
 )
-from treegibbs.extremality import AlphaConvention, Verdict
+from treegibbs.extremality import Verdict
+
+from identities import AlphaConvention, exp_system_residual
 
 
 def _report(name: str, passed: bool, detail: str = "") -> None:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from treegibbs import ReducedParams, kappa_bound_generic, Coupling, solve_system
+from treegibbs import cli
 from treegibbs.cli import _build_parser, _fmt, main
 
 H_STAR_2_08 = 2.0634370688955605
@@ -101,29 +102,27 @@ class TestSolve:
         assert code == 0
         assert len(json.loads(out)["solutions"]) == 9
 
-    def test_config_file_override(self, capsys, tmp_path):
-        cfg = tmp_path / "solver.cfg"
-        cfg.write_text("grid_points = 128  # coarse scan\n", encoding="utf-8")
+    def test_config_file_override(self, capsys):
+        # a coarse scan grid still separates all nine roots
         code, out = _run(
             capsys,
             ["solve", "--k", "2", "--a", "2,0,0,0", "--b", "0,0,2,0", "--theta", "0.8",
-             "--config", str(cfg)],
+             "--grid-points", "128"],
         )
         assert code == 0
         assert len(json.loads(out)["solutions"]) == 9
 
-    # NaN passes a `<= 0` test: --dedup-tol nan printed (0, 0) three times
-    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
-    @pytest.mark.parametrize("key", ["bisect_tol", "residual_tol", "dedup_tol"])
-    @pytest.mark.parametrize("by_file", [False, True])
-    def test_bad_tolerance_exit_2(self, capsys, tmp_path, value, key, by_file):
-        argv = ["solve", "--k", "3", "--a", "2,0,1,0", "--b", "1,0,1,1", "--theta", "0.8"]
-        if by_file:
-            cfg = tmp_path / "solver.cfg"
-            cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
-            argv += ["--config", str(cfg)]
-        else:
-            argv += ["--" + key.replace("_", "-"), value]
+    # NaN passes a `<= 0` test: --dedup-tol nan printed (0, 0) three times.
+    # The ids keep the "False-" prefix they had while a config file was a
+    # second route to these values, so each case keeps its name.
+    @pytest.mark.parametrize("key,value", [
+        pytest.param(key, value, id=f"False-{key}-{value}")
+        for key in ("bisect_tol", "residual_tol", "dedup_tol")
+        for value in ("nan", "inf", "0")
+    ])
+    def test_bad_tolerance_exit_2(self, capsys, key, value):
+        argv = ["solve", "--k", "3", "--a", "2,0,1,0", "--b", "1,0,1,1", "--theta", "0.8",
+                "--" + key.replace("_", "-"), value]
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
@@ -131,52 +130,6 @@ class TestSolve:
         assert captured.err.startswith(
             f"error: bad solver configuration: {key} must be finite and positive"
         )
-
-
-class TestShortScanWindow:
-    """The scan window is worked out from the instance's a-priori bound, so
-    ``scan_hi`` is now an unknown config key: a file that sets it, even
-    below the bound, is a bad configuration (exit 2) in every subcommand."""
-
-    @pytest.fixture
-    def short_cfg(self, tmp_path):
-        cfg = tmp_path / "short.cfg"
-        cfg.write_text("scan_hi = 0.5\n", encoding="utf-8")
-        return str(cfg)
-
-    @pytest.mark.parametrize("a,b", [("3,0,0,1", "4,0,0,0"), ("4,0,0,0", "4,0,0,0")])
-    def test_solve_exit_2(self, capsys, short_cfg, a, b):
-        code, out = _run(
-            capsys,
-            ["solve", "--k", "4", "--a", a, "--b", b, "--theta", "0.8", "--config", short_cfg],
-        )
-        assert code == 2
-        assert out == ""
-
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_sweep_exit_2(self, capsys, tmp_path, short_cfg, jobs):
-        code = main(
-            ["sweep", "--k", "4", "--theta-lo", "0.7", "--theta-hi", "0.8", "--steps", "2",
-             "--out", str(tmp_path / "x.csv"), "--scheme", "3,0,0,1:4,0,0,0",
-             "--scheme", "4,0,0,0:4,0,0,0", "--jobs", jobs, "--config", short_cfg]
-        )
-        capsys.readouterr()
-        assert code == 2
-
-    @pytest.mark.parametrize(
-        "key,value", [("scan_lo", "-10"), ("max_iter", "128"), ("scan_hi", "10")]
-    )
-    def test_removed_key_is_refused(self, capsys, tmp_path, key, value):
-        cfg = tmp_path / "removed.cfg"
-        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
-        code = main(
-            ["solve", "--k", "4", "--a", "4,0,0,0", "--b", "4,0,0,0", "--theta", "0.8",
-             "--config", str(cfg)]
-        )
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert f"unknown config key {key!r}" in captured.err
 
 
 class TestClassify:
@@ -404,6 +357,35 @@ class TestSweep:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: " + message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_tolerance_exit_2(self, capsys, tmp_path, jobs):
+        out = tmp_path / "x.csv"
+        code = main(
+            ["sweep", "--k", "4", "--theta-lo", "0.7", "--theta-hi", "0.8", "--steps", "2",
+             "--out", str(out), "--scheme", "3,0,0,1:4,0,0,0",
+             "--scheme", "4,0,0,0:4,0,0,0", "--jobs", jobs, "--dedup-tol", "nan"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: bad solver configuration: dedup_tol")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["12", "30"])
+    def test_cap_checked_before_schemes_are_built(self, capsys, tmp_path, monkeypatch, k):
+        # C(k+3,3)^2 schemes x 10^4 steps is over the cap; the count is known
+        # without building a scheme
+        def refuse(order):
+            raise AssertionError("schemes built before the cap was checked")
+
+        monkeypatch.setattr(cli, "enumerate_schemes", refuse)
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--k", k, "--theta-lo", "0.1", "--theta-hi", "0.9",
+                     "--steps", "10000", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.err.startswith("error: ")
         assert not out.exists()
 
     def test_instance_cap_exit_5(self, capsys, tmp_path):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from treegibbs import (
-    AlphaConvention,
     Coupling,
     FieldPair,
     SchemeMatrix,
@@ -16,7 +15,6 @@ from treegibbs import (
     big_f,
     big_f_prime,
     certify,
-    exp_system_residual,
     gamma_bound,
     k_beta,
     kappa_bound_generic,
@@ -26,6 +24,8 @@ from treegibbs import (
     extremality_windows,
     ti_field_root,
 )
+
+from identities import AlphaConvention, exp_system_residual
 
 H_STAR_2_08 = 2.0634370688955605
 

@@ -20,13 +20,13 @@ from treegibbs import (
     finite_volume_measure,
     k_beta,
     numeric_field,
-    parent_disagreement_distance,
     reduce,
     root_marginal_ratio,
     solve_scalar,
     solve_system,
-    variation_distance,
 )
+
+from identities import parent_disagreement_distance, variation_distance
 
 H_STAR_2_08 = 2.0634370688955605
 
