@@ -13,11 +13,12 @@ A grid-scan + bisection root isolator sits underneath.  Every returned
 pair is verified against both equations; the solution set always contains
 (0, 0) and is closed under (h, l) -> (-h, -l).
 
-The isolator only finds sign-change-separated roots: a tangential root is
-found only when a grid point lands essentially on top of it.  The scan
-interval is derived from the a-priori bound |h| <= (|a|+|b|) arctanh(theta)
-(the kernel is bounded, so every root lives there); only tangency can hide
-a root, not escape.
+The isolator only finds sign-change-separated roots.  The scan interval
+is derived from the a-priori bound |h| <= (|a|+|b|) arctanh(theta) (the
+kernel is bounded, so every root lives there); only tangency can hide a
+root, not escape.  Where tangency is known to happen, at the two turning
+points of the shifted residual x - t - d f_theta(x), the root is taken
+from the closed-form turning point itself (``_turning_point``).
 
 The grid is evaluated only where a root can lie.  Every 16th grid point
 is evaluated first, and the grid points between two of them, a cell, only
@@ -33,14 +34,13 @@ bounds the slope of each residual by a constant L:
 
 A cell whose two end values share a sign and both exceed 2e-5 + L w / 2
 in absolute value, w its width, is dropped: on it the residual stays above
-2e-5 in absolute value, so it holds no root, no exact grid zero and no
-grid extremum below the 1e-5 at which a tangential root is probed.  The
-margin over 1e-5 absorbs the rounding of the evaluated residual.  So the
-roots, the tangency candidates and every output byte are those of the
-full grid; ``grid_points`` sets the resolution at which roots are
-bracketed, the screen only which grid points get evaluated.  The
-thetas of one reduction are scanned together: all their first points in
-one kernel pass, all their kept cells in a second.
+2e-5 in absolute value, so it holds no root and no exact grid zero, with
+headroom for the rounding of the evaluated residual.  So the roots and
+every output byte are those of the full grid; ``grid_points`` sets the
+resolution at which roots are bracketed, the screen only which grid
+points get evaluated.  The thetas of one reduction are scanned together:
+all their first points in one kernel pass, all their kept cells in a
+second.
 """
 
 from __future__ import annotations
@@ -187,19 +187,16 @@ def _dedup_sorted(values: Sequence[float], tol: float) -> list[float]:
 # _STRIDE-th point of it (and the last) is evaluated first; the grid points
 # between two of these form a cell, evaluated only when it may hold a root.
 _STRIDE = 16
-# Above the 1e-5 at which a grid extremum is probed for a tangential root,
-# with room for the rounding of the residual's evaluation.
+# Least absolute residual on a dropped cell: any positive margin keeps
+# roots and exact zeros out, and this one leaves headroom over the
+# rounding of the residual's evaluation.
 _SCREEN_MARGIN = 2e-5
 
 
-def _grid_x(j, lo, step, hi, n: int, underflow: bool):
+def _grid_x(j, lo, step):
     """``np.linspace(lo, hi, n + 1)[j]`` for ``j < n``, bit for bit, with
-    ``lo``, ``step = (hi - lo) / n`` and ``hi`` given per point."""
-    x = j * step
-    if underflow:  # linspace's path for a step that rounds to zero
-        x = np.where(step == 0.0, j / n * (hi - lo), x)
-    x += lo
-    return x
+    ``lo`` and the nonzero ``step = (hi - lo) / n`` given per point."""
+    return j * step + lo
 
 
 def _evaluate(fn, rows, xs: np.ndarray) -> np.ndarray:
@@ -217,65 +214,51 @@ def _scan(fn, los, his, lips, cfg: SolverConfig) -> list[tuple[np.ndarray, np.nd
     0, so that its parameters reach the kernel as scalars.  Row r's grid is
     ``np.linspace(los[r], his[r], cfg.grid_points + 1)`` and ``lips[r]``
     bounds the slope of its residual (the screen in the module docstring).
-    Returns, per row, the evaluated grid points in order and the residual
-    there.  Two evaluated points that are not grid neighbours meet only
-    across a dropped cell, where the full grid has no zero, sign change or
-    small extremum either.
+    Returns, per row, its kept cells in grid order as two
+    ``(cells, _STRIDE + 1)`` blocks: the grid points of each cell, from
+    one coarse point to the next, and the residual there.  A last cell of
+    fewer than _STRIDE steps repeats its last interior point.
     """
     if not los:
         return []
     n, size = cfg.grid_points, len(los)
     steps = [(hi - lo) / n for lo, hi in zip(los, his)]
-    underflow = 0.0 in steps
-    lo_v, step_v, hi_v = np.array(los), np.array(steps), np.array(his)
+    lo_v, step_v = np.array(los), np.array(steps)
     rows = np.arange(size)[:, None] if size > 1 else 0
     coarse = np.arange(0, n + _STRIDE, _STRIDE)
     coarse[-1] = n
-    xc = _grid_x(coarse, lo_v[:, None], step_v[:, None], hi_v[:, None], n, underflow)
-    xc[:, -1] = hi_v
+    xc = _grid_x(coarse, lo_v[:, None], step_v[:, None])
+    xc[:, -1] = his
     yc = _evaluate(fn, rows, xc)
     # half a cell is at most _STRIDE / 2 steps; with no bound (L = inf)
-    # the threshold is inf, or nan for a zero step, and drops nothing
+    # the threshold is inf and drops nothing
     half = [_SCREEN_MARGIN + lip * (_STRIDE / 2) * step for lip, step in zip(lips, steps)]
     ay = np.abs(yc)
     kept = ~(np.minimum(ay[:, :-1], ay[:, 1:]) > np.array(half)[:, None])
     up = yc > 0.0
     kept |= up[:, :-1] != up[:, 1:]
-    # Output layout, per row in grid order: each coarse point, followed by
-    # its cell's interior points when the cell is kept.
-    inner = coarse[1:] - coarse[:-1]
-    inner -= 1
-    seg = np.ones(yc.shape, dtype=np.intp)
-    seg[:, :-1] += kept * inner
-    ends = seg.cumsum().reshape(seg.shape)
-    first = ends - seg
-    xs = np.empty(ends[-1, -1])
-    ys = np.empty(ends[-1, -1])
-    xs[first] = xc
-    ys[first] = yc
     kr, kc = kept.nonzero()
+    xs, ys = np.empty((2, kc.size, _STRIDE + 1))
+    xs[:, 0], xs[:, -1] = xc[kr, kc], xc[kr, kc + 1]
+    ys[:, 0], ys[:, -1] = yc[kr, kc], yc[kr, kc + 1]
     if kc.size:
-        # interior offsets 1 .. _STRIDE - 1; a short last cell repeats its
-        # last interior point, which writes the same value twice
-        offs = np.minimum(np.arange(1, _STRIDE), inner[kc][:, None])
-        at = first[kr, kc][:, None] + offs
+        # interior offsets 1 .. _STRIDE - 1, clipped to the cell
+        offs = np.minimum(np.arange(1, _STRIDE), (coarse[kc + 1] - coarse[kc] - 1)[:, None])
         prow = kr[:, None] if size > 1 else 0
-        xi = _grid_x(coarse[kc][:, None] + offs, lo_v[prow], step_v[prow], hi_v[prow], n,
-                     underflow)
-        xs[at] = xi
-        ys[at] = _evaluate(fn, prow, xi)
-    bounds = [0, *ends[:, -1].tolist()]
+        xi = _grid_x(coarse[kc][:, None] + offs, lo_v[prow], step_v[prow])
+        xs[:, 1:-1] = xi
+        ys[:, 1:-1] = _evaluate(fn, prow, xi)
+    bounds = [0, *kept.sum(axis=1).cumsum().tolist()]
     return [(xs[lo:hi], ys[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _roots_on_grid(fn, xs: np.ndarray, ys: np.ndarray, cfg: SolverConfig) -> list[float]:
-    """Exact grid zeros plus one bisected root per sign-change cell."""
+    """Exact grid zeros plus one bisected root per sign-change pair of
+    neighbours, read along the last axis of the blocks ``xs``, ``ys``."""
     roots = xs[ys == 0.0].tolist()
-    sign_change = np.nonzero(ys[:-1] * ys[1:] < 0.0)[0]
-    for i in sign_change:
-        roots.append(
-            _bisect(fn, float(xs[i]), float(xs[i + 1]), float(ys[i]), float(ys[i + 1]), cfg)
-        )
+    for cell, i in zip(*np.nonzero(ys[:, :-1] * ys[:, 1:] < 0.0)):
+        x, y = xs[cell], ys[cell]
+        roots.append(_bisect(fn, float(x[i]), float(x[i + 1]), float(y[i]), float(y[i + 1]), cfg))
     return _dedup_sorted(roots, cfg.dedup_tol)
 
 
@@ -291,10 +274,16 @@ def find_roots_1d(
     evaluation) as well as on scalars (the bisection).  A root the function merely touches without
     crossing is reported only if a grid point evaluates to exactly zero.
     ``fn`` has no known slope bound, so every grid point is evaluated.
+    The width ``hi - lo`` must be finite, and so wide that its grid step
+    does not round to zero.
     """
     cfg = cfg or SolverConfig()
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bad scan interval [{lo!r}, {hi!r}]")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"scan interval [{lo!r}, {hi!r}] is wider than the largest float")
+    if (hi - lo) / cfg.grid_points == 0.0:
+        raise ValueError(f"scan interval [{lo!r}, {hi!r}] is too narrow: its grid step is 0")
     [(xs, ys)] = _scan(lambda rows, x: fn(x), [lo], [hi], [math.inf], cfg)
     return _roots_on_grid(fn, xs, ys, cfg)
 
@@ -366,13 +355,20 @@ def _scalar_roots(
 # ---------------------------------------------------------------------------
 
 
+def _turning_point(d: int, theta: float) -> float:
+    """The x > 0 with ``d f_theta'(x) = 1``, for d theta > 1 and theta in
+    (0, 1): there sinh(x)^2 = (d theta - 1)/(1 - theta^2).  Unlike
+    tanh(x)^2, this stays clear of 1 for theta near 1."""
+    return math.asinh(math.sqrt((d * theta - 1.0) / ((1.0 - theta) * (1.0 + theta))))
+
+
 def max_shifted_gain(d: int, theta: float) -> float:
     """max over x >= 0 of ``d f_theta(x) - x`` for d >= 1, theta in (0, 1).
 
-    Zero when d*theta <= 1; otherwise attained where f_theta' = 1/d, i.e.
-    tanh(x)^2 = (d theta - 1)/(d theta - theta^2).  The shifted equation
-    x = t + d f_theta(x) has three roots when |t| is below this gain, two
-    at the (double-root) boundary, one above it.
+    Zero when d*theta <= 1; otherwise attained at the turning point where
+    f_theta' = 1/d.  The shifted equation x = t + d f_theta(x) has three
+    roots when |t| is below this gain, two at the (double-root) boundary,
+    one above it.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d!r}")
@@ -381,8 +377,7 @@ def max_shifted_gain(d: int, theta: float) -> float:
         raise ValueError(f"theta must be positive, got {theta!r}")
     if d * theta <= 1.0:
         return 0.0
-    t_sq = (d * theta - 1.0) / (d * theta - theta * theta)
-    x_bar = arctanh(math.sqrt(t_sq))
+    x_bar = _turning_point(d, theta)
     return d * f_theta(theta, x_bar) - x_bar
 
 
@@ -394,11 +389,14 @@ def _shifted_scalar_roots(
     d: int, shifts: Sequence[float], thetas: Sequence[float], cfg: SolverConfig
 ) -> list[tuple[list[float], list[str]]]:
     """Roots of ``x = t + d f_theta(x)`` plus any degeneracy warnings, at
-    each row ``(shifts[i], thetas[i])``, in one scan.
+    each row ``(shifts[i], thetas[i])``, theta > 0, in one scan.
 
-    The two-root boundary |t| = max_shifted_gain is a tangential double
-    root invisible to the sign-change scan, so near-zero grid extrema of
-    the residual are refined by ternary search and flagged.
+    The residual is monotone unless d theta > 1; then its only extrema are
+    at the turning points +-x_bar.  At the boundary |t| = max_shifted_gain
+    one of them is a tangential double root, invisible to the sign-change
+    scan: each turning point whose residual is below ``residual_tol`` and
+    which lies ``dedup_tol`` clear of every bracketed root is added as a
+    root and flagged.
     """
     if d == 0:
         return [([t], []) for t in shifts]
@@ -416,28 +414,17 @@ def _shifted_scalar_roots(
         fn = partial(_shifted_residual, d, t, theta)
         roots = _roots_on_grid(fn, xs, ys, cfg)
         warnings: list[str] = []
-        interior = np.arange(1, len(xs) - 1)
-        is_min = (ys[interior] < ys[interior - 1]) & (ys[interior] <= ys[interior + 1])
-        is_max = (ys[interior] > ys[interior - 1]) & (ys[interior] >= ys[interior + 1])
-        for idx in interior[(is_min | is_max) & (np.abs(ys[interior]) < 1e-5)]:
-            a_x, b_x = float(xs[idx - 1]), float(xs[idx + 1])
-            sign = 1.0 if ys[idx] > 0.0 else -1.0
-            for _ in range(120):  # ternary search on sign * fn
-                m1 = a_x + (b_x - a_x) / 3.0
-                m2 = b_x - (b_x - a_x) / 3.0
-                if sign * fn(m1) <= sign * fn(m2):
-                    b_x = m2
-                else:
-                    a_x = m1
-            x_star = 0.5 * (a_x + b_x)
-            if abs(fn(x_star)) < cfg.residual_tol and all(
-                abs(x_star - r) >= cfg.dedup_tol for r in roots
-            ):
-                roots.append(x_star)
-                warnings.append(
-                    f"boundary-degenerate: double root near x={x_star:.12g} "
-                    f"(shift t={t:.12g}, d={d})"
-                )
+        if d * theta > 1.0:
+            x_bar = _turning_point(d, theta)
+            for x_star in (-x_bar, x_bar):
+                if abs(fn(x_star)) < cfg.residual_tol and all(
+                    abs(x_star - r) >= cfg.dedup_tol for r in roots
+                ):
+                    roots.append(x_star)
+                    warnings.append(
+                        f"boundary-degenerate: double root near x={x_star:.12g} "
+                        f"(shift t={t:.12g}, d={d})"
+                    )
         out.append((_dedup_sorted(roots, cfg.dedup_tol), warnings))
     return out
 

@@ -19,9 +19,15 @@ def mp_scalar_root(m, theta, x0=2.0):
     return mp.findroot(lambda h: h - m * mp_f_theta(theta, h), mp.mpf(x0))
 
 
-def mp_shifted_gain(d, theta):
-    """max over x >= 0 of d * f_theta(x) - x (requires d*theta > 1)."""
+def mp_turning_point(d, theta):
+    """The x > 0 with d * f_theta'(x) = 1, from tanh(x)^2 = (d theta - 1) /
+    (d theta - theta^2) (requires d*theta > 1)."""
     theta = mp.mpf(theta)
     t_sq = (d * theta - 1) / (d * theta - theta**2)
-    x_bar = mp.atanh(mp.sqrt(t_sq))
-    return d * mp_f_theta(theta, x_bar) - x_bar
+    return mp.atanh(mp.sqrt(t_sq))
+
+
+def mp_shifted_gain(d, theta):
+    """max over x >= 0 of d * f_theta(x) - x (requires d*theta > 1)."""
+    x_bar = mp_turning_point(d, theta)
+    return d * mp_f_theta(mp.mpf(theta), x_bar) - x_bar

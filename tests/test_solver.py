@@ -27,7 +27,7 @@ from treegibbs import solver
 from treegibbs.kernels import ATANH_GUARD
 from treegibbs.solver import _shifted_scalar_roots
 
-from mp_oracles import mp_scalar_root, mp_shifted_gain
+from mp_oracles import mp_scalar_root, mp_shifted_gain, mp_turning_point
 
 # frozen from the mpmath oracle: positive root of h = 2 f_{0.8}(h)
 H_STAR_2_08 = 2.0634370688955605
@@ -58,6 +58,16 @@ class TestFindRoots1D:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             find_roots_1d(lambda x: x, 1.0, -1.0)
+
+    def test_overflowing_width_refused(self):
+        # hi - lo overflows to inf: the step and the grid would be inf and nan
+        with pytest.raises(ValueError, match="wider than the largest float"):
+            find_roots_1d(lambda x: x - 1.0, -1e308, 1e308)
+
+    @pytest.mark.parametrize("grid_points", [64, 4096])
+    def test_zero_step_refused(self, grid_points):
+        with pytest.raises(ValueError, match="grid step is 0"):
+            find_roots_1d(lambda x: x, 0.0, 5e-324, SolverConfig(grid_points=grid_points))
 
     def test_crossing_root_on_grid_point(self):
         # 0.5 is grid point 3072 of the default 4097-point grid on [-1, 1]:
@@ -244,6 +254,48 @@ class TestCaseB0:
         assert any("boundary-degenerate" in w for w in warnings)
 
 
+class TestTurningPoint:
+    """The shifted residual x - t - d f_theta(x) turns at +-x_bar, where
+    d f_theta'(x_bar) = 1: max_shifted_gain is its value there, and a
+    tangential double root is x_bar itself."""
+
+    # the largest theta of the domain
+    EDGE = math.nextafter(1.0 - ATANH_GUARD, 0.0)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_gain_at_domain_edge(self, d):
+        # tanh(x_bar)^2 lies inside the arctanh guard here for d >= 3
+        gain = max_shifted_gain(d, self.EDGE)
+        assert math.isfinite(gain) and gain > 0.0
+
+    def test_solve_at_domain_edge(self):
+        sols = solve_system(ReducedParams(2, 0, -1, 3, 4), self.EDGE)
+        assert len(sols) == 9
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("theta", [0.6, 0.8, 0.95, 0.99, 0.9999, 0.999999])
+    def test_gain_matches_mpmath(self, d, theta):
+        want = float(mp_shifted_gain(d, theta))
+        assert max_shifted_gain(d, theta) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    def test_double_root_is_turning_point(self):
+        # (2,0,-1,3) solves l = -h*/2 + 3 f(l) on the b = 0 path; (3,1,0,2)
+        # is solved through its transpose (2,0,1,3), where the shift is
+        # +h*/2.  At 0.6 both shifts sit on the gain, so l = x_bar and
+        # h = -x_bar are double roots, each reported with its x.
+        x_bar = mp_turning_point(3, 0.6)
+        found = {}
+        for abcd, axis in (((2, 0, -1, 3), "l"), ((3, 1, 0, 2), "h")):
+            sols = solve_system(ReducedParams(*abcd, 4), 0.6)
+            assert len(sols) == 7
+            assert min(abs(abs(getattr(p, axis)) - x_bar) for p in sols) < 1e-15
+            [warning] = sols.warnings
+            assert warning.startswith("boundary-degenerate: double root near x=")
+            found[abcd] = float(warning.split("x=")[1].split()[0])
+        assert found[(3, 1, 0, 2)] == -found[(2, 0, -1, 3)]
+        assert abs(abs(found[(2, 0, -1, 3)]) - x_bar) < 1e-12
+
+
 class TestCaseGeneral:
     def test_symmetric_ansatz(self):
         sols = solve_system(ReducedParams(1, 1, 1, 1, 2), 0.8)
@@ -351,10 +403,28 @@ class TestWorkCounts:
         assert kernel_sizes.count(None) == 2 * residual_evals[0] + positive_roots
 
 
+def _cell_points(n):
+    """Grid index of each point of each cell of an n-step grid, one row per
+    cell, in the layout of ``_scan``'s blocks: from one coarse point to the
+    next, a last cell of fewer than _STRIDE steps repeating its last
+    interior point."""
+    starts = np.arange(0, n, solver._STRIDE)
+    ends = np.minimum(starts + solver._STRIDE, n)
+    inner = np.minimum(starts[:, None] + np.arange(1, solver._STRIDE), ends[:, None] - 1)
+    return np.column_stack([starts, inner, ends])
+
+
+def _assert_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestGrid:
-    """Every evaluated x is bit-equal to np.linspace at its index, whether
-    the screen drops no cell (no slope bound) or every cell (a residual of
-    1 under a slope bound of 1e-300)."""
+    """Every block ``_scan`` returns is one cell of np.linspace's grid, bit
+    for bit, whether the screen keeps every cell (no slope bound), one
+    cell (a step function under a slope bound of 1e-300) or none (a
+    residual of 1 under the same bound).  A window whose grid step rounds
+    to zero is refused instead: np.linspace computes such a grid by another
+    formula, and no solver scan is narrower than 0.5."""
 
     @pytest.mark.parametrize("grid_points", [64, 1000, 4096])
     @pytest.mark.parametrize("hi", [1e-320, 1e-300, 1e-3, 3.7, 41.25, 1e300])
@@ -362,14 +432,23 @@ class TestGrid:
     def test_matches_linspace_bits(self, grid_points, hi, symmetric):
         lo = -hi if symmetric else 0.0
         cfg = SolverConfig(grid_points=grid_points)
+        if (hi - lo) / grid_points == 0.0:  # [0, 1e-320] on 4096 steps
+            with pytest.raises(ValueError, match="grid step is 0"):
+                find_roots_1d(lambda x: x, lo, hi, cfg)
+            return
         expected = np.linspace(lo, hi, grid_points + 1)
+        cells = _cell_points(grid_points)
         [(xs, ys)] = solver._scan(lambda rows, x: x, [lo], [hi], [math.inf], cfg)
-        np.testing.assert_array_equal(xs.view(np.uint64), expected.view(np.uint64))
-        np.testing.assert_array_equal(ys.view(np.uint64), expected.view(np.uint64))
-        coarse = np.append(np.arange(0, grid_points, solver._STRIDE), grid_points)
+        _assert_bits(xs, expected[cells])
+        _assert_bits(ys, expected[cells])
+        mid = cells[len(cells) // 2]
+        cut = expected[mid[solver._STRIDE // 2]]
+        [(xs, ys)] = solver._scan(
+            lambda rows, x: np.where(x < cut, -1.0, 1.0), [lo], [hi], [1e-300], cfg
+        )
+        _assert_bits(xs, expected[mid][None])
         [(xs, ys)] = solver._scan(lambda rows, x: np.ones_like(x), [lo], [hi], [1e-300], cfg)
-        np.testing.assert_array_equal(xs.view(np.uint64), expected[coarse].view(np.uint64))
-        assert np.all(ys == 1.0)
+        assert xs.shape == ys.shape == (0, solver._STRIDE + 1)
 
 
 def _sweep_thetas(k):
@@ -384,21 +463,19 @@ def _sweep_thetas(k):
 
 
 def _grid_marks(ys):
-    """What the root scan reads from a grid, along the last axis: exact
-    zeros, sign changes between neighbours (at the left point) and
-    extrema below 1e-5 in absolute value (at the extremum)."""
-    y, left, right = ys[..., 1:-1], ys[..., :-2], ys[..., 2:]
-    extremal = ((y < left) & (y <= right)) | ((y > left) & (y >= right))
-    return ys == 0.0, ys[..., :-1] * ys[..., 1:] < 0.0, extremal & (np.abs(y) < 1e-5)
+    """What the root scan reads along the last axis of a grid or of a block
+    of cells: exact zeros, and sign changes between neighbours (at the left
+    point)."""
+    return ys == 0.0, ys[..., :-1] * ys[..., 1:] < 0.0
 
 
 class TestScreen:
     """The screened scan loses nothing the full grid finds.  Every scan is
     also evaluated on its full np.linspace grid.  Per row, the screened
-    points must carry the full grid's values and exactly its marks (exact
-    zeros, sign-change cells, near-zero extrema), each with its grid
-    neighbours, which is all that ``_roots_on_grid`` and the tangency probe
-    read.  For k <= 2, solving on the full grids must also give the same
+    blocks must carry the full grid's values and exactly its marks (exact
+    zeros and sign-change cells), each block running over grid neighbours,
+    which is all that ``_roots_on_grid`` reads.  For k <= 2, solving on the
+    full grids, each passed as one block, must also give the same
     solutions and warnings at every theta.  On the solver's residuals this
     holds even with a slope bound 10^4 times too small, so rows of a
     residual that turns within one cell check that the bound is used."""
@@ -406,20 +483,19 @@ class TestScreen:
     @staticmethod
     def _check_rows(grids, values, screened):
         n = grids.shape[1]
-        (zr, zj), (cr, cj), (er, ej) = (mask.nonzero() for mask in _grid_marks(values))
-        want = [zr * n + zj, cr * n + cj, er * n + ej + 1]
-        got = [[], [], []]
+        want = [r * n + j for r, j in (mask.nonzero() for mask in _grid_marks(values))]
+        got = [[], []]
         for row, (grid, full, (xs, ys)) in enumerate(zip(grids, values, screened)):
             at = np.searchsorted(grid, xs)
             assert np.array_equal(grid[at].view(np.uint64), xs.view(np.uint64))
             assert np.array_equal(full[at].view(np.uint64), ys.view(np.uint64))
-            z, c, e = _grid_marks(ys)
-            c, e = np.flatnonzero(c), np.flatnonzero(e) + 1
-            # a mark is read together with its grid neighbours
-            assert np.all(at[c + 1] == at[c] + 1)
-            assert np.all(at[e - 1] == at[e] - 1) and np.all(at[e + 1] == at[e] + 1)
-            for marks, idx in zip(got, (at[z], at[c], at[e])):
-                marks.append(row * n + idx)
+            # a block steps from one grid point to the next (a short last
+            # cell repeats a point)
+            assert np.isin(np.diff(at, axis=1), (0, 1)).all()
+            z, c = _grid_marks(ys)
+            # a zero on a coarse point ends one kept cell and starts the next
+            got[0].append(row * n + np.unique(at[z]))
+            got[1].append(row * n + at[:, :-1][c])
         for marks, expected in zip(got, want):
             assert np.array_equal(np.concatenate(marks), expected)
 
@@ -435,7 +511,9 @@ class TestScreen:
             screened = real_scan(fn, los, his, lips, cfg)
             self._check_rows(grids, values, screened)
             rows_checked[0] += len(los)
-            return list(zip(grids, values)) if solve_full else screened
+            if solve_full:
+                return [(grid[None], full[None]) for grid, full in zip(grids, values)]
+            return screened
 
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_scan", full_grid_scan)
